@@ -7,8 +7,8 @@ from .bath import (BathParams, ProcessTensor, RedfieldGenerator,
                    spectral_density)
 from .config import (ExperimentConfig, config_from_dict, config_to_dict,
                      default_config, load_config, save_config)
-from .ensemble import (EnsembleSpec, average_signals, evaluate_member,
-                       run_ensemble, sample_members, synthesize_signal_table)
+from .ensemble import (EnsembleSpec, evaluate_member, run_ensemble,
+                       sample_members, synthesize_signal_table)
 from .errors import (ConfigError, DegenerateDimerError, DimerQptError,
                      SingularGeometryError, SingularToolboxError)
 from .isoaverage import (MBlocks, build_m_blocks, iso_average_four,
@@ -21,10 +21,7 @@ from .pulses import (CMatrix, PulseToolbox, base_coefficient_matrix,
 from .reconstruct import (ReconstructionReport, TensorDiagnostics,
                           choi_matrix, invert_signals, reconstruct,
                           reconstruct_single, validate_tensor)
-from .response import (PATHWAY_ORDER, PathwaySignalSet, SignalTable,
-                       assemble_signal, iso_pathway_vector,
-                       pathway_amplitude, pathway_terms,
-                       prepare_initial_state)
-from .units import UNITS, UnitSystem
+from .response import (PATHWAY_ORDER, SignalTable, iso_pathway_vector,
+                       pathway_amplitude, pathway_terms)
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .model import E, EP, ExcitonBasis
-from .units import UNITS, UnitSystem
+from .units import thermal_energy, to_angular
 
 
 @dataclass(frozen=True)
@@ -50,11 +50,11 @@ def spectral_density(omega, bath: BathParams):
     return val if val.ndim else float(val)
 
 
-def bose_occupation(omega, bath: BathParams, units: UnitSystem = UNITS):
+def bose_occupation(omega, bath: BathParams):
     """Mean thermal occupation of a mode at omega (cm^-1)."""
     if bath.temperature == 0:
         return 0.0
-    x = omega / units.thermal_energy(bath.temperature)
+    x = omega / thermal_energy(bath.temperature)
     return 1.0 / math.expm1(x)
 
 
@@ -80,16 +80,10 @@ class RedfieldGenerator:
     def rate_ep_to_e(self):
         return self.population_rates[0, 1]
 
-    @property
-    def exciton_dephasing(self):
-        return self.dephasing_rates[("e", "ep")]
-
-
 _OPTICAL_PAIRS = [("e", "g"), ("ep", "g"), ("f", "e"), ("f", "ep")]
 
 
 def build_redfield_generator(basis: ExcitonBasis, bath: BathParams,
-                             units: UnitSystem = UNITS,
                              dephasing_overrides: dict | None = None
                              ) -> RedfieldGenerator:
     """Assemble secular rates from the spectral density and mixing angle.
@@ -105,10 +99,10 @@ def build_redfield_generator(basis: ExcitonBasis, bath: BathParams,
     gap = basis.splitting()  # cm^-1, > 0
 
     jn = spectral_density(gap, bath)
-    nbar = bose_occupation(gap, bath, units)
+    nbar = bose_occupation(gap, bath)
     # one-sided correlation rate, converted to fs^-1
-    gamma_down = 2.0 * math.pi * units.to_angular(jn) * (nbar + 1.0)
-    gamma_up = 2.0 * math.pi * units.to_angular(jn) * nbar
+    gamma_down = 2.0 * math.pi * to_angular(jn) * (nbar + 1.0)
+    gamma_up = 2.0 * math.pi * to_angular(jn) * nbar
     s2 = math.sin(2.0 * theta) ** 2
     k_down = 0.5 * s2 * gamma_down  # e -> ep
     k_up = 0.5 * s2 * gamma_up      # ep -> e
@@ -120,8 +114,8 @@ def build_redfield_generator(basis: ExcitonBasis, bath: BathParams,
                       [k_down, -k_up]])
 
     # omega -> 0 limit of 2 pi J(w) nbar(w): 2 pi * lambda kT / omega_c
-    gamma0 = 2.0 * math.pi * units.to_angular(
-        bath.reorganization_energy * units.thermal_energy(bath.temperature)
+    gamma0 = 2.0 * math.pi * to_angular(
+        bath.reorganization_energy * thermal_energy(bath.temperature)
         / bath.cutoff_freq)
 
     c2, s2sq = math.cos(theta) ** 2, math.sin(theta) ** 2
@@ -144,9 +138,9 @@ def build_redfield_generator(basis: ExcitonBasis, bath: BathParams,
         if rate < 0:
             raise RuntimeError(f"negative dephasing rate for {pair}")
 
-    freqs = {("e", "ep"): units.to_angular(gap)}
+    freqs = {("e", "ep"): to_angular(gap)}
     for pair in _OPTICAL_PAIRS:
-        freqs[pair] = units.to_angular(basis.transition_freq(pair))
+        freqs[pair] = to_angular(basis.transition_freq(pair))
 
     # mirrored pairs: Gamma symmetric, frequency antisymmetric
     for (i, j) in list(dephasing.keys()):

@@ -10,6 +10,7 @@ import argparse
 import csv
 from dataclasses import replace
 import json
+import math
 import os
 import sys
 
@@ -33,6 +34,8 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 
 _STATE_NAMES = ("e", "ep")
+_SIGNAL_HEADER = ["T_fs", "omega_tuple", "re_signal", "im_signal"]
+_OMEGA_COLUMN = {label: col for col, label in enumerate(OMEGA_LABELS)}
 
 
 def _fmt(x):
@@ -96,7 +99,7 @@ def cmd_simulate(config: ExperimentConfig, n_workers=None):
         sig_path, path_path = _signal_paths(config, gamma)
         with open(sig_path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["T_fs", "omega_tuple", "re_signal", "im_signal"])
+            writer.writerow(_SIGNAL_HEADER)
             for k, t in enumerate(config.t_grid):
                 for j, label in enumerate(OMEGA_LABELS):
                     writer.writerow([_fmt(t), label,
@@ -115,22 +118,58 @@ def cmd_simulate(config: ExperimentConfig, n_workers=None):
 
 
 def _read_signal_table(path, config):
-    by_t = {}
+    """Signal CSV -> SignalTable; raises ValueError naming ``path:line``.
+
+    Every waiting time of the configuration must carry each of the sixteen
+    omega tuples exactly once, with finite numbers.
+    """
+    by_t = {}   # T -> (signals (16,), line of each omega tuple, 0 if none)
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != _SIGNAL_HEADER:
+            raise ValueError(f"{path}:1: unexpected header {header}")
         for row in reader:
-            t = float(row["T_fs"])
-            col = OMEGA_LABELS.index(row["omega_tuple"])
-            by_t.setdefault(t, np.zeros(16, dtype=complex))[col] = \
-                float(row["re_signal"]) + 1j * float(row["im_signal"])
+            if not row:
+                continue
+            line = reader.line_num
+            try:
+                if len(row) != len(_SIGNAL_HEADER):
+                    raise ValueError(f"expected {len(_SIGNAL_HEADER)} "
+                                     f"fields, got {len(row)}")
+                t_text, label, re_text, im_text = row
+                if label not in _OMEGA_COLUMN:
+                    raise ValueError(f"unknown omega_tuple {label!r}")
+                t, re, im = float(t_text), float(re_text), float(im_text)
+                if not (math.isfinite(t) and math.isfinite(re)
+                        and math.isfinite(im)):
+                    raise ValueError("non-finite number")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line}: malformed row ({exc})")
+            col = _OMEGA_COLUMN[label]
+            signals, lines = by_t.setdefault(
+                t, (np.zeros(16, dtype=complex), [0] * 16))
+            if lines[col]:
+                raise ValueError(
+                    f"{path}:{line}: duplicate row for T_fs={t:g}, "
+                    f"omega_tuple={label} (first at line {lines[col]})")
+            signals[col] = complex(re, im)
+            lines[col] = line
     t_grid = np.array(sorted(by_t))
     expected = np.asarray(config.t_grid, dtype=float)
     if t_grid.shape != expected.shape or not np.allclose(t_grid, expected):
         raise ValueError(
             f"{path}: waiting-time grid does not match the configuration "
             f"({len(t_grid)} rows vs {len(expected)} expected)")
+    for t in t_grid:
+        lines = by_t[t][1]
+        if not all(lines):
+            missing = [label for label, n in zip(OMEGA_LABELS, lines) if not n]
+            raise ValueError(
+                f"{path}:{min(n for n in lines if n)}: T_fs={t:g} has no row "
+                f"for omega_tuple {', '.join(missing)}")
     return SignalTable(t_grid=t_grid,
-                       values=np.array([by_t[t] for t in t_grid]))
+                       values=np.array([by_t[t][0] for t in t_grid]))
 
 
 def _write_tensor_csv(path, tensors, t_grid):
@@ -157,16 +196,24 @@ def _write_tensor_csv(path, tensors, t_grid):
 
 def cmd_reconstruct(config: ExperimentConfig, n_workers=None):
     basis = build_exciton_basis(config.dimer)
-    gen = build_redfield_generator(basis, config.bath)
     cmat = build_c_matrix(basis, config.toolbox)
+    if config.homogeneous_only:
+        gen = build_redfield_generator(basis, config.bath)
+    else:
+        members = sample_members(config.dimer, config.ensemble)
     report_lines = []
     failed = False
     for gamma in config.gamma_list:
-        blocks = build_m_blocks(basis, gamma, verbatim=config.verbatim_terms)
         tag = _gamma_tag(gamma)
         if config.homogeneous_only:
             sig_path, _ = _signal_paths(config, gamma)
-            table = _read_signal_table(sig_path, config)
+            try:
+                table = _read_signal_table(sig_path, config)
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_IO
+            blocks = build_m_blocks(basis, gamma,
+                                    verbatim=config.verbatim_terms)
             truth = [propagate_process_tensor(gen, t) for t in table.t_grid]
             rep = reconstruct(table, cmat, blocks, reference=truth)
             tensors = rep.tensors
@@ -176,7 +223,6 @@ def cmd_reconstruct(config: ExperimentConfig, n_workers=None):
                 f"cond(M)={rep.m_conditions} max_residual={max_err:.3e}")
             diagnostics = rep.diagnostics
         else:
-            members = sample_members(config.dimer, config.ensemble)
             members_g = [replace(m, quantum_yield_gamma=gamma)
                          for m in members]
             result = run_ensemble(members_g, config.bath, config.toolbox,

@@ -180,10 +180,3 @@ def _reduce(results, sums, want_tensors):
         if want_tensors:
             sums["el"] += elements
             sums["gr"] += grounds
-
-
-def average_signals(members, bath: BathParams, toolbox: PulseToolbox, t_grid,
-                    n_workers=None, verbatim=False) -> SignalTable:
-    """Arithmetic mean of the member signal tables, fixed reduction order."""
-    return run_ensemble(members, bath, toolbox, t_grid, n_workers=n_workers,
-                        verbatim=verbatim, want_tensors=False).signal_table

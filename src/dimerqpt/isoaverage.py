@@ -20,23 +20,12 @@ from .model import E, EP, ExcitonBasis
 
 Z_LAB = np.array([0.0, 0.0, 1.0])
 
+#: largest condition number a geometry block may have and still be inverted
+COND_THRESHOLD = 1e12
+
 _WEIGHTS = np.array([[4.0, -1.0, -1.0],
                      [-1.0, 4.0, -1.0],
                      [-1.0, -1.0, 4.0]]) / 30.0
-
-
-@dataclass(frozen=True)
-class IsoTensor:
-    """Pair-contraction weights of the fourth-rank rotational invariant."""
-
-    weights: np.ndarray = None
-
-    def __post_init__(self):
-        if self.weights is None:
-            object.__setattr__(self, "weights", _WEIGHTS.copy())
-
-    def contract(self, lab_patterns, mol_patterns):
-        return float(lab_patterns @ self.weights @ mol_patterns)
 
 
 def _pair_patterns(v1, v2, v3, v4):
@@ -177,7 +166,6 @@ class MBlocks:
 
 
 def build_m_blocks(basis: ExcitonBasis, gamma: float,
-                   cond_threshold: float = 1e12,
                    verbatim: bool = False) -> MBlocks:
     """Derive the geometry blocks from the averaged pathway expressions.
 
@@ -186,20 +174,23 @@ def build_m_blocks(basis: ExcitonBasis, gamma: float,
     Entries that the block structure predicts to vanish are checked to be
     numerically zero.
     """
-    from .response import iso_pathway_vector
+    from .response import iso_pathway_vector, projection_table
 
+    # the dipole factors depend on the geometry only, not on the tensor
+    table = projection_table(basis, iso=True, verbatim=verbatim)
     # The hole term and the ground-row closure constant cancel, so the
     # averaged pathway vector is strictly linear in the parameters; the
     # offset at zero parameters is subtracted anyway as a guard.
     offset = iso_pathway_vector(basis, gamma, params_to_tensor(np.zeros(N_PARAMS)),
-                                verbatim=verbatim)
+                                verbatim=verbatim, table=table)
     columns = []
     for k in range(N_PARAMS):
         unit = np.zeros(N_PARAMS)
         unit[k] = 1.0
         tensor = params_to_tensor(unit)
         columns.append(iso_pathway_vector(basis, gamma, tensor,
-                                          verbatim=verbatim) - offset)
+                                          verbatim=verbatim, table=table)
+                       - offset)
     full = np.array(columns).T  # (16 pathways, 16 params)
 
     mask = np.zeros((16, 16), dtype=bool)
@@ -216,27 +207,12 @@ def build_m_blocks(basis: ExcitonBasis, gamma: float,
                              ("epep", _ROWS_EPEP, _COLS_EPEP),
                              ("eep", _ROWS_EEP, _COLS_EEP)]:
         block = full[np.ix_(rows, cols)]
-        if np.linalg.cond(block) > cond_threshold:
+        if np.linalg.cond(block) > COND_THRESHOLD:
             raise SingularGeometryError(
                 f"geometry block {name} is singular for this dipole geometry")
         blocks[name] = block
     return MBlocks(m_ee=blocks["ee"], m_epep=blocks["epep"],
                    m_eep=blocks["eep"], gamma=gamma, offset=offset)
-
-
-def bleach_offset_vector(basis: ExcitonBasis, gamma: float,
-                         verbatim: bool = False):
-    """Tensor-independent part of the averaged pathway vector.
-
-    The hole contribution that survives when the prepared state is a
-    population cancels against the closure constant in the ground row, so
-    this vanishes identically for trace-consistent tensors.  Kept as a
-    diagnostic.
-    """
-    from .response import iso_pathway_vector
-
-    zero = params_to_tensor(np.zeros(N_PARAMS))
-    return iso_pathway_vector(basis, gamma, zero, verbatim=verbatim)
 
 
 def solve_chi_blocks(pathway_vector, blocks: MBlocks,

@@ -15,7 +15,11 @@ import numpy as np
 
 from .errors import SingularToolboxError
 from .model import ExcitonBasis
-from .units import UNITS, UnitSystem
+from .units import to_angular
+
+#: smallest |det| of the 2x2 generator, relative to its norm scale, that
+#: still counts as able to discriminate the two exciton transitions
+DET_THRESHOLD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -38,8 +42,7 @@ class PulseToolbox:
         return (self.freq_plus, self.freq_minus)
 
 
-def pulse_coefficient(transition_freq, omega, toolbox: PulseToolbox,
-                      units: UnitSystem = UNITS):
+def pulse_coefficient(transition_freq, omega, toolbox: PulseToolbox):
     """Excitation coefficient for a transition at ``transition_freq`` (cm^-1).
 
     Exact Gaussian Fourier transform evaluated at the detuning; labels never
@@ -47,20 +50,19 @@ def pulse_coefficient(transition_freq, omega, toolbox: PulseToolbox,
     coincides with one of the single-exciton transition frequencies here).
     """
     sigma = toolbox.pulse_width_sigma
-    detuning = units.to_angular(transition_freq - omega)  # rad/fs
+    detuning = to_angular(transition_freq - omega)  # rad/fs
     return (1j * toolbox.field_strength_lambda
             * math.sqrt(2.0 * math.pi) * sigma
             * math.exp(-0.5 * (sigma * detuning) ** 2))
 
 
-def base_coefficient_matrix(basis: ExcitonBasis, toolbox: PulseToolbox,
-                            units: UnitSystem = UNITS):
+def base_coefficient_matrix(basis: ExcitonBasis, toolbox: PulseToolbox):
     """2x2 matrix c[w, p] of single-pulse coefficients.
 
     Rows are the carriers (plus, minus), columns the exciton labels (e, ep).
     """
     freqs = (basis.energy_e, basis.energy_ep)
-    return np.array([[pulse_coefficient(f, w, toolbox, units) for f in freqs]
+    return np.array([[pulse_coefficient(f, w, toolbox) for f in freqs]
                      for w in toolbox.carriers])
 
 
@@ -84,32 +86,16 @@ class CMatrix:
     def base_condition_number(self):
         return float(np.linalg.cond(self.base_2x2))
 
-    @property
-    def base_determinant(self):
-        return complex(np.linalg.det(self.base_2x2))
-
-    def inverse(self):
-        base_inv = np.linalg.inv(self.base_2x2)
-        out = base_inv
-        for _ in range(3):
-            out = np.kron(out, base_inv)
-        return out
-
     def solve(self, signals):
         """Recover the 16 pathway amplitudes from the 16 measured signals."""
         return np.linalg.solve(self.entries, signals)
 
 
-def build_c_matrix(basis: ExcitonBasis, toolbox: PulseToolbox,
-                   units: UnitSystem = UNITS,
-                   det_threshold: float = 1e-12) -> CMatrix:
-    """Kronecker-assemble the 16x16 matrix and reject unusable toolboxes.
-
-    ``det_threshold`` is relative to the norm scale of the 2x2 generator.
-    """
-    base = base_coefficient_matrix(basis, toolbox, units)
+def build_c_matrix(basis: ExcitonBasis, toolbox: PulseToolbox) -> CMatrix:
+    """Kronecker-assemble the 16x16 matrix and reject unusable toolboxes."""
+    base = base_coefficient_matrix(basis, toolbox)
     scale = np.linalg.norm(base, ord="fro") ** 2 / 2.0
-    if abs(np.linalg.det(base)) <= det_threshold * scale:
+    if abs(np.linalg.det(base)) <= DET_THRESHOLD * scale:
         raise SingularToolboxError(
             "toolbox frequencies "
             f"({toolbox.freq_plus}, {toolbox.freq_minus}) cm^-1 cannot "

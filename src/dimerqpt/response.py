@@ -21,7 +21,6 @@ from .bath import (ProcessTensor, RedfieldGenerator,
                    optical_coherence_propagator)
 from .isoaverage import Z_LAB, iso_average_four, pathway_index
 from .model import E, EP, ExcitonBasis
-from .pulses import CMatrix, PulseToolbox, build_c_matrix, pulse_coefficient
 
 _GL = ("eg", "epg")            # ground -> exciton dipole label per index
 _FC = ("fep", "fe")            # f-manifold dipole appearing in channel r
@@ -88,51 +87,6 @@ def detect_observable(final_state_terms, gamma):
     """
     return sum(detection_weight(kind, gamma) * value
                for kind, value in final_state_terms)
-
-
-@dataclass(frozen=True)
-class EffectiveInitialState:
-    """State prepared by the first two pulses, as operator coefficients.
-
-    Keys of ``coefficients`` are ket/bra label pairs; the ground-state hole
-    appears only when both pulses address the same transition.
-    """
-
-    coefficients: dict
-    p: int
-    q: int
-    omega1: float
-    omega2: float
-    coherence_time_tau: float
-
-    def population_trace(self):
-        tr = 0.0 + 0.0j
-        for (ket, bra), amp in self.coefficients.items():
-            if ket == bra:
-                tr += amp
-        return tr
-
-
-def prepare_initial_state(p, q, omega1, omega2, tau, basis: ExcitonBasis,
-                          gen: RedfieldGenerator, toolbox: PulseToolbox,
-                          e1=Z_LAB, e2=Z_LAB) -> EffectiveInitialState:
-    """Second-order effective state created by the first two pulses.
-
-    Negative coherence time returns the empty (zero) state by causality.
-    """
-    if tau < 0:
-        return EffectiveInitialState({}, p, q, omega1, omega2, tau)
-    cp = pulse_coefficient(basis.exciton_energy(p), omega1, toolbox)
-    cq = pulse_coefficient(basis.exciton_energy(q), omega2, toolbox)
-    proj = float(np.dot(basis.dipole(_GL[p]), e1)
-                 * np.dot(basis.dipole(_GL[q]), e2))
-    g_tau = 1.0 if tau == 0 else optical_coherence_propagator(
-        "g", _STATE[p], tau, gen)
-    amp = -cp * cq * proj * g_tau
-    coeffs = {(_STATE[q], _STATE[p]): amp}
-    if p == q:
-        coeffs[("g", "g")] = -amp
-    return EffectiveInitialState(coeffs, p, q, omega1, omega2, tau)
 
 
 def _echo_factor(pair, t, gen):
@@ -216,21 +170,6 @@ def iso_pathway_vector(basis: ExcitonBasis, gamma, tensor: ProcessTensor,
     return out
 
 
-@dataclass(frozen=True)
-class PathwaySignalSet:
-    """The sixteen pathway amplitudes at one set of delays."""
-
-    values: np.ndarray          # canonical order, complex (16,)
-    gamma: float
-    tau: float
-    waiting_time: float
-    t: float
-    averaged: bool
-
-    def value(self, p, q, r, s):
-        return self.values[pathway_index(p, q, r, s)]
-
-
 OMEGA_TUPLES = [(a, b, c, d)
                 for a in "+-" for b in "+-" for c in "+-" for d in "+-"]
 OMEGA_LABELS = ["".join(t) for t in OMEGA_TUPLES]
@@ -243,79 +182,3 @@ class SignalTable:
     t_grid: np.ndarray            # (n,) fs
     values: np.ndarray            # (n, 16) complex, columns in OMEGA_LABELS order
     omega_labels: tuple = tuple(OMEGA_LABELS)
-
-    def row(self, index):
-        return self.values[index]
-
-
-def compute_pathway_set(gamma, tau, t, basis, gen, tensor,
-                        polarizations=None, iso=True, verbatim=False,
-                        table=None) -> PathwaySignalSet:
-    if table is None:
-        table = projection_table(basis, polarizations, iso=iso,
-                                 verbatim=verbatim)
-    values = np.array([
-        pathway_amplitude(p, q, r, s, tau, t, gamma, basis, tensor, gen=gen,
-                          iso=iso, verbatim=verbatim, table=table)
-        for (p, q, r, s) in PATHWAY_ORDER])
-    return PathwaySignalSet(values=values, gamma=gamma, tau=tau,
-                            waiting_time=tensor.waiting_time, t=t,
-                            averaged=iso)
-
-
-def assemble_signal(toolbox: PulseToolbox, gamma, tau, waiting_time, t,
-                    basis: ExcitonBasis, gen: RedfieldGenerator,
-                    tensor: ProcessTensor, cmatrix: CMatrix = None,
-                    iso=True, verbatim=False, table=None) -> SignalTable:
-    """Total signal for all sixteen carrier-frequency tuples at one T.
-
-    The row equals the probability matrix applied to the pathway vector.
-    """
-    if cmatrix is None:
-        cmatrix = build_c_matrix(basis, toolbox)
-    pathways = compute_pathway_set(gamma, tau, t, basis, gen, tensor,
-                                   iso=iso, verbatim=verbatim, table=table)
-    signals = cmatrix.entries @ pathways.values
-    return SignalTable(t_grid=np.array([waiting_time]),
-                       values=signals[None, :])
-
-
-# ---------------------------------------------------------------------------
-# Diagram bookkeeping
-# ---------------------------------------------------------------------------
-
-def enumerate_final_state_diagrams():
-    """All distinct final-state possibilities of the detection stage.
-
-    Each record names the third-order coherence, the second-order density
-    matrix element feeding it, and the population the fourth pulse leaves
-    behind.  Routes through an f-coherence can end in either the
-    doubly-excited population or the singly-excited one.
-    """
-    diagrams = []
-    third_order = [
-        (("e", "g"), ["gg", "ee", "eep"]),
-        (("ep", "g"), ["gg", "epep", "epe"]),
-        (("f", "e"), ["ee", "epe"]),
-        (("f", "ep"), ["eep", "epep"]),
-    ]
-    for coherence, sources in third_order:
-        for src in sources:
-            if coherence[0] == "f":
-                diagrams.append({"coherence": coherence, "source": src,
-                                 "final": "ff", "family": "esa"})
-                diagrams.append({"coherence": coherence, "source": src,
-                                 "final": coherence[1] * 2, "family": "esa"})
-            else:
-                family = "gsb" if src == "gg" else "se"
-                diagrams.append({"coherence": coherence, "source": src,
-                                 "final": coherence[0] * 2, "family": family})
-    return diagrams
-
-
-def merged_pathway_routes():
-    """Diagrams after summing each f-coherence pair with its yield weights."""
-    merged = {}
-    for d in enumerate_final_state_diagrams():
-        merged.setdefault((d["coherence"], d["source"]), []).append(d)
-    return list(merged.values())

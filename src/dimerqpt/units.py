@@ -5,7 +5,6 @@ model layer; time is in femtoseconds.  Propagators convert to angular
 frequency (rad/fs) at the point of use, with hbar = 1.
 """
 
-from dataclasses import dataclass
 import math
 
 # speed of light in cm/fs
@@ -18,18 +17,11 @@ WAVENUMBER_TO_RAD_PER_FS = 2.0 * math.pi * _C_CM_PER_FS
 KB_WAVENUMBER_PER_K = 0.6950348004
 
 
-@dataclass(frozen=True)
-class UnitSystem:
-    wavenumber_to_angular_freq: float = WAVENUMBER_TO_RAD_PER_FS
-    kB_in_wavenumbers: float = KB_WAVENUMBER_PER_K
-
-    def to_angular(self, freq_wavenumber):
-        """cm^-1 -> rad/fs."""
-        return freq_wavenumber * self.wavenumber_to_angular_freq
-
-    def thermal_energy(self, temperature_K):
-        """k_B * T in cm^-1."""
-        return self.kB_in_wavenumbers * temperature_K
+def to_angular(freq_wavenumber):
+    """cm^-1 -> rad/fs."""
+    return freq_wavenumber * WAVENUMBER_TO_RAD_PER_FS
 
 
-UNITS = UnitSystem()
+def thermal_energy(temperature_K):
+    """k_B * T in cm^-1."""
+    return KB_WAVENUMBER_PER_K * temperature_K

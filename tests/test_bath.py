@@ -7,7 +7,7 @@ from dimerqpt.bath import (BathParams, ProcessTensor, bose_occupation,
                            build_redfield_generator,
                            optical_coherence_propagator,
                            propagate_process_tensor, spectral_density)
-from dimerqpt.units import UNITS
+from dimerqpt.units import thermal_energy
 
 
 def test_spectral_density_shape(bath):
@@ -29,13 +29,13 @@ def test_bose_occupation_limits(bath):
                       temperature=0.0)
     assert bose_occupation(200.0, cold) == 0.0
     # high-temperature limit: n ~ kT/omega
-    kt = UNITS.thermal_energy(bath.temperature)
+    kt = thermal_energy(bath.temperature)
     assert bose_occupation(0.01, bath) == pytest.approx(kt / 0.01, rel=1e-3)
 
 
 def test_detailed_balance_ratio(basis, bath, gen):
     gap = basis.splitting()
-    kt = UNITS.thermal_energy(bath.temperature)
+    kt = thermal_energy(bath.temperature)
     expected = math.exp(-gap / kt)
     assert gen.rate_ep_to_e / gen.rate_e_to_ep == pytest.approx(expected,
                                                                rel=1e-12)

@@ -5,10 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dimerqpt.cli import main
+from dimerqpt.bath import build_redfield_generator, propagate_process_tensor
+from dimerqpt.cli import _parse_tensor_csv, main
 from dimerqpt.config import (config_from_dict, config_to_dict, default_config,
                              load_config, save_config)
+from dimerqpt.ensemble import EnsembleSpec, sample_members
 from dimerqpt.errors import ConfigError
+from dimerqpt.model import build_exciton_basis
 
 
 @pytest.fixture
@@ -162,3 +165,74 @@ def test_noise_applied(small_config, tmp_path):
     with open(os.path.join(clean.output_dir, "signals_gamma2.csv")) as fh:
         b = fh.read()
     assert a != b
+
+
+def _edit_signal_file(config_path, small_config, edit):
+    main(["simulate", "--config", config_path])
+    path = os.path.join(small_config.output_dir, "signals_gamma2.csv")
+    with open(path) as fh:
+        lines = fh.readlines()
+    with open(path, "w") as fh:
+        fh.writelines(edit(lines))
+
+
+def _assert_reconstruct_io_error(config_path, capsys):
+    capsys.readouterr()
+    assert main(["reconstruct", "--config", config_path]) == 3
+    err = capsys.readouterr().err
+    assert "signals_gamma2.csv:" in err
+    assert "Traceback" not in err
+    return err
+
+
+def test_signal_file_dropped_row(config_path, small_config, capsys):
+    _edit_signal_file(config_path, small_config,
+                      lambda lines: [ln for ln in lines
+                                     if not ln.startswith("200,++-+,")])
+    err = _assert_reconstruct_io_error(config_path, capsys)
+    assert "++-+" in err
+
+
+def test_signal_file_duplicated_row(config_path, small_config, capsys):
+    def duplicate(lines):
+        row = next(ln for ln in lines if ln.startswith("200,++-+,"))
+        return lines + [row]
+    _edit_signal_file(config_path, small_config, duplicate)
+    err = _assert_reconstruct_io_error(config_path, capsys)
+    assert "duplicate" in err
+
+
+def test_signal_file_missing_column(config_path, small_config, capsys):
+    _edit_signal_file(config_path, small_config,
+                      lambda lines: [ln.rsplit(",", 1)[0] + "\n"
+                                     for ln in lines])
+    err = _assert_reconstruct_io_error(config_path, capsys)
+    assert "signals_gamma2.csv:1:" in err
+
+
+def test_ensemble_flow_matches_member_mean(tmp_path):
+    cfg = replace(default_config(output_dir=str(tmp_path / "ens")),
+                  ensemble=EnsembleSpec(n_members=3, sigma_inh=40.0, seed=4),
+                  t_grid=(120.0, 300.0), gamma_list=(0.0, 2.0))
+    path = str(tmp_path / "ens.json")
+    save_config(cfg, path)
+    assert main(["simulate", "--config", path, "--workers", "1"]) == 0
+    assert main(["reconstruct", "--config", path, "--workers", "1"]) == 0
+    gens = [build_redfield_generator(build_exciton_basis(m), cfg.bath)
+            for m in sample_members(cfg.dimer, cfg.ensemble)]
+    tensors = {}
+    for gamma in ("0", "2"):
+        tensor_csv = os.path.join(cfg.output_dir, f"tensors_gamma{gamma}.csv")
+        assert main(["validate", tensor_csv]) == 0
+        tensors[gamma] = _parse_tensor_csv(tensor_csv)
+        assert sorted(tensors[gamma]) == list(cfg.t_grid)
+        for t, tensor in tensors[gamma].items():
+            truth = [propagate_process_tensor(g, t) for g in gens]
+            mean_el = np.mean([x.elements for x in truth], axis=0)
+            mean_gr = np.mean([x.ground_row for x in truth], axis=0)
+            assert np.max(np.abs(tensor.elements - mean_el)) < 1e-8
+            assert np.max(np.abs(tensor.ground_row - mean_gr)) < 1e-8
+    for t in cfg.t_grid:
+        a, b = tensors["0"][t], tensors["2"][t]
+        assert np.max(np.abs(a.elements - b.elements)) < 1e-8
+        assert np.max(np.abs(a.ground_row - b.ground_row)) < 1e-8

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from dimerqpt.ensemble import (ENV_THREADS, EnsembleSpec, average_signals,
-                               evaluate_member, resolve_worker_count,
-                               run_ensemble, sample_members,
-                               synthesize_signal_table)
+from dimerqpt.ensemble import (ENV_THREADS, EnsembleSpec, evaluate_member,
+                               resolve_worker_count, run_ensemble,
+                               sample_members, synthesize_signal_table)
 from dimerqpt.isoaverage import build_m_blocks
 from dimerqpt.pulses import build_c_matrix
 from dimerqpt.reconstruct import reconstruct_single, validate_tensor
@@ -48,7 +47,8 @@ def test_sample_mean_within_standard_error(dimer):
 
 
 def test_single_member_equals_direct_synthesis(dimer, bath, toolbox):
-    table = average_signals([dimer], bath, toolbox, T_GRID, n_workers=1)
+    table = run_ensemble([dimer], bath, toolbox, T_GRID, n_workers=1,
+                         want_tensors=False).signal_table
     direct = synthesize_signal_table(dimer, bath, toolbox, T_GRID)
     assert np.array_equal(table.values, direct.values)
 

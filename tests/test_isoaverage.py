@@ -128,3 +128,32 @@ def test_blocks_are_linear_in_gamma(basis):
     b1 = build_m_blocks(basis, 1.0)
     b2 = build_m_blocks(basis, 2.0)
     assert np.allclose(b1.m_eep, 0.5 * (b0.m_eep + b2.m_eep), atol=1e-13)
+
+
+def test_m_blocks_equal_column_by_column_synthesis():
+    # the blocks share one dipole-factor table across all seventeen pathway
+    # vectors; each column must equal a vector that builds its own table
+    from dimerqpt.response import iso_pathway_vector
+    geometries = [
+        DimerParams(site_energy_1=12881.0, site_energy_2=12719.0,
+                    coupling_j=120.0),
+        DimerParams(site_energy_1=12700.0, site_energy_2=12950.0,
+                    coupling_j=-80.0, dipole_ratio_d2_over_d1=0.7,
+                    dipole_angle_phi=1.1),
+        DimerParams(site_energy_1=13000.0, site_energy_2=12500.0,
+                    coupling_j=300.0, dipole_angle_phi=2.4),
+    ]
+    for dimer in geometries:
+        basis = build_exciton_basis(dimer)
+        for verbatim in (False, True):
+            for gamma in (0.0, 1.3):
+                blocks = build_m_blocks(basis, gamma, verbatim=verbatim)
+                offset = iso_pathway_vector(
+                    basis, gamma, params_to_tensor(np.zeros(N_PARAMS)),
+                    verbatim=verbatim)
+                columns = [iso_pathway_vector(
+                    basis, gamma, params_to_tensor(np.eye(N_PARAMS)[k]),
+                    verbatim=verbatim) - offset for k in range(N_PARAMS)]
+                assert np.array_equal(blocks.full_matrix(),
+                                      np.array(columns).T)
+                assert np.array_equal(blocks.offset, offset)

@@ -8,7 +8,7 @@ from dimerqpt.errors import SingularToolboxError
 from dimerqpt.model import DimerParams, build_exciton_basis
 from dimerqpt.pulses import (PulseToolbox, base_coefficient_matrix,
                              build_c_matrix, pulse_coefficient)
-from dimerqpt.units import UNITS
+from dimerqpt.units import to_angular
 
 
 def quadrature_coefficient(transition_freq, omega, toolbox):
@@ -17,7 +17,7 @@ def quadrature_coefficient(transition_freq, omega, toolbox):
     i * lambda * integral of exp(-t^2 / (2 sigma^2)) exp(i dw t) dt.
     """
     sigma = toolbox.pulse_width_sigma
-    dw = UNITS.to_angular(transition_freq - omega)
+    dw = to_angular(transition_freq - omega)
 
     def integrand_re(t):
         return math.exp(-t * t / (2 * sigma * sigma)) * math.cos(dw * t)
@@ -72,11 +72,6 @@ def test_condition_number_is_fourth_power(basis, toolbox):
     cmat = build_c_matrix(basis, toolbox)
     assert cmat.condition_number == pytest.approx(
         cmat.base_condition_number ** 4, rel=1e-10)
-
-
-def test_inverse_consistent(basis, toolbox):
-    cmat = build_c_matrix(basis, toolbox)
-    assert np.allclose(cmat.inverse() @ cmat.entries, np.eye(16), atol=1e-10)
 
 
 def test_solve_round_trip(basis, toolbox, rng):

@@ -5,19 +5,9 @@ from dimerqpt.bath import ProcessTensor, propagate_process_tensor
 from dimerqpt.isoaverage import (iso_average_four, params_to_tensor,
                                  tensor_to_params, build_m_blocks)
 from dimerqpt.pulses import build_c_matrix
-from dimerqpt.response import (PATHWAY_ORDER, assemble_signal,
-                               compute_pathway_set, detect_observable,
-                               detection_weight,
-                               enumerate_final_state_diagrams,
-                               iso_pathway_vector, merged_pathway_routes,
-                               pathway_amplitude, pathway_terms,
-                               prepare_initial_state, projection_table)
-
-
-def test_diagram_counts():
-    diagrams = enumerate_final_state_diagrams()
-    assert len(diagrams) == 14
-    assert len(merged_pathway_routes()) == 10
+from dimerqpt.response import (PATHWAY_ORDER, detect_observable,
+                               detection_weight, iso_pathway_vector,
+                               pathway_amplitude, pathway_terms)
 
 
 def test_term_counts():
@@ -97,32 +87,15 @@ def test_echo_time_damps_amplitude(basis, gen):
     assert abs(at50) > 0.0
 
 
-def test_prepare_initial_state(basis, gen, toolbox):
-    state = prepare_initial_state(0, 0, 13480.0, 13480.0, 0.0, basis, gen,
-                                  toolbox)
-    pop = state.coefficients[("e", "e")]
-    hole = state.coefficients[("g", "g")]
-    assert hole == pytest.approx(-pop, abs=1e-18)
-    assert state.population_trace() == pytest.approx(0.0, abs=1e-18)
-    # cross preparation leaves no hole
-    cross = prepare_initial_state(0, 1, 13480.0, 12130.0, 0.0, basis, gen,
-                                  toolbox)
-    assert ("g", "g") not in cross.coefficients
-    # causality
-    empty = prepare_initial_state(0, 0, 13480.0, 13480.0, -2.0, basis, gen,
-                                  toolbox)
-    assert empty.coefficients == {}
-
-
-def test_assemble_signal_matches_linear_path(basis, gen, toolbox):
+def test_signal_matches_linear_path(basis, gen, toolbox):
+    # pathway-by-pathway synthesis agrees with the geometry-block form
     tensor = propagate_process_tensor(gen, 300.0)
     cmat = build_c_matrix(basis, toolbox)
-    table = assemble_signal(toolbox, 1.5, 0.0, 300.0, 0.0, basis, gen,
-                            tensor, cmatrix=cmat)
+    signals = cmat.entries @ iso_pathway_vector(basis, 1.5, tensor)
     blocks = build_m_blocks(basis, 1.5)
     expected = cmat.entries @ (blocks.full_matrix()
                                @ tensor_to_params(tensor))
-    assert np.allclose(table.values[0], expected, atol=1e-13)
+    assert np.allclose(signals, expected, atol=1e-13)
 
 
 def test_verbatim_variant_differs_but_reconstructs(basis, gen, toolbox):
