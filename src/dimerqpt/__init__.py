@@ -20,7 +20,8 @@ from .pulses import (CMatrix, PulseToolbox, base_coefficient_matrix,
                      build_c_matrix, pulse_coefficient)
 from .reconstruct import (ReconstructionReport, TensorDiagnostics,
                           choi_matrix, invert_signals, reconstruct,
-                          reconstruct_single, validate_tensor)
+                          reconstruct_rows, reconstruct_single,
+                          validate_tensor)
 from .response import (PATHWAY_ORDER, SignalTable, iso_pathway_vector,
                        pathway_amplitude, pathway_terms)
 

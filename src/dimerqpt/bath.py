@@ -202,7 +202,8 @@ class ProcessTensor:
 
 def closure_ground_row(elements):
     """chi_gg,nu mu from probability conservation over {g, e, ep}."""
-    return np.eye(2, dtype=complex) - elements[E, E] - elements[EP, EP]
+    return (np.eye(2, dtype=complex) - elements[..., E, E, :, :]
+            - elements[..., EP, EP, :, :])
 
 
 def propagate_process_tensor(gen: RedfieldGenerator, waiting_time: float

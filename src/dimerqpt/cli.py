@@ -9,6 +9,7 @@ manifest so a run can be reproduced exactly.  Exit codes: 0 success,
 import argparse
 import csv
 from dataclasses import replace
+from itertools import product
 import json
 import math
 import os
@@ -20,7 +21,7 @@ from .bath import (ProcessTensor, build_redfield_generator,
                    propagate_process_tensor)
 from .config import (ExperimentConfig, config_to_dict, default_config,
                      load_config)
-from .ensemble import run_ensemble, sample_members, resolve_worker_count
+from .ensemble import run_ensemble, sample_members
 from .errors import ConfigError, DimerQptError
 from .isoaverage import build_m_blocks
 from .model import build_exciton_basis
@@ -36,6 +37,12 @@ EXIT_IO = 3
 _STATE_NAMES = ("e", "ep")
 _SIGNAL_HEADER = ["T_fs", "omega_tuple", "re_signal", "im_signal"]
 _OMEGA_COLUMN = {label: col for col, label in enumerate(OMEGA_LABELS)}
+_TENSOR_HEADER = ["T_fs", "n", "m", "nu", "mu", "re_chi", "im_chi"]
+# (n, m, nu, mu) of each tensor-file row: the elements in array order, then
+# the ground row
+_TENSOR_ROWS = (list(product(_STATE_NAMES, repeat=4))
+                + [("g", "g") + p for p in product(_STATE_NAMES, repeat=2)])
+_TENSOR_SLOT = {",".join(key): slot for slot, key in enumerate(_TENSOR_ROWS)}
 
 
 def _fmt(x):
@@ -80,7 +87,7 @@ def _apply_noise(values, noise, seed, index):
     return values + noise * scale * (re + 1j * im)
 
 
-def cmd_simulate(config: ExperimentConfig, n_workers=None):
+def cmd_simulate(config: ExperimentConfig):
     os.makedirs(config.output_dir, exist_ok=True)
     if config.homogeneous_only:
         members = [config.dimer]
@@ -89,8 +96,7 @@ def cmd_simulate(config: ExperimentConfig, n_workers=None):
     for gidx, gamma in enumerate(config.gamma_list):
         members_g = [replace(m, quantum_yield_gamma=gamma) for m in members]
         result = run_ensemble(members_g, config.bath, config.toolbox,
-                              config.t_grid, n_workers=n_workers,
-                              verbatim=config.verbatim_terms,
+                              config.t_grid, verbatim=config.verbatim_terms,
                               want_tensors=False)
         signals = result.signal_table.values
         if config.noise:
@@ -117,84 +123,82 @@ def cmd_simulate(config: ExperimentConfig, n_workers=None):
     return EXIT_OK
 
 
-def _read_signal_table(path, config):
-    """Signal CSV -> SignalTable; raises ValueError naming ``path:line``.
+def _read_rows(path, header, slots, key_name):
+    """CSV of (T_fs, key fields..., re, im) rows -> {T: values} sorted by T.
 
-    Every waiting time of the configuration must carry each of the sixteen
-    omega tuples exactly once, with finite numbers.
+    Each T must carry every key of ``slots`` (joined with commas) exactly
+    once, with finite numbers; ``values`` holds them in slot order.  Raises
+    ValueError naming ``path:line``.
     """
-    by_t = {}   # T -> (signals (16,), line of each omega tuple, 0 if none)
+    by_t = {}   # T -> (values, line of each slot, 0 if none)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _SIGNAL_HEADER:
-            raise ValueError(f"{path}:1: unexpected header {header}")
+        row = next(reader, None)
+        if row != header:
+            raise ValueError(f"{path}:1: unexpected header {row}")
         for row in reader:
             if not row:
                 continue
             line = reader.line_num
+            key = ",".join(row[1:-2])
             try:
-                if len(row) != len(_SIGNAL_HEADER):
-                    raise ValueError(f"expected {len(_SIGNAL_HEADER)} "
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} "
                                      f"fields, got {len(row)}")
-                t_text, label, re_text, im_text = row
-                if label not in _OMEGA_COLUMN:
-                    raise ValueError(f"unknown omega_tuple {label!r}")
-                t, re, im = float(t_text), float(re_text), float(im_text)
+                if key not in slots:
+                    raise ValueError(f"unknown {key_name} {key!r}")
+                t, re, im = float(row[0]), float(row[-2]), float(row[-1])
                 if not (math.isfinite(t) and math.isfinite(re)
                         and math.isfinite(im)):
                     raise ValueError("non-finite number")
             except ValueError as exc:
                 raise ValueError(f"{path}:{line}: malformed row ({exc})")
-            col = _OMEGA_COLUMN[label]
-            signals, lines = by_t.setdefault(
-                t, (np.zeros(16, dtype=complex), [0] * 16))
-            if lines[col]:
+            slot = slots[key]
+            values, lines = by_t.setdefault(
+                t, (np.zeros(len(slots), dtype=complex), [0] * len(slots)))
+            if lines[slot]:
                 raise ValueError(
                     f"{path}:{line}: duplicate row for T_fs={t:g}, "
-                    f"omega_tuple={label} (first at line {lines[col]})")
-            signals[col] = complex(re, im)
-            lines[col] = line
-    t_grid = np.array(sorted(by_t))
+                    f"{key_name}={key} (first at line {lines[slot]})")
+            values[slot] = complex(re, im)
+            lines[slot] = line
+    if not by_t:
+        raise ValueError(f"{path}: no data rows")
+    for t in sorted(by_t):
+        lines = by_t[t][1]
+        if not all(lines):
+            missing = [key for key, slot in slots.items() if not lines[slot]]
+            raise ValueError(
+                f"{path}:{min(n for n in lines if n)}: T_fs={t:g} has no row "
+                f"for {key_name} {'; '.join(missing)}")
+    return {t: by_t[t][0] for t in sorted(by_t)}
+
+
+def _read_signal_table(path, config):
+    """Signal CSV -> SignalTable on the configuration's waiting times."""
+    by_t = _read_rows(path, _SIGNAL_HEADER, _OMEGA_COLUMN, "omega_tuple")
+    t_grid = np.array(list(by_t))
     expected = np.asarray(config.t_grid, dtype=float)
     if t_grid.shape != expected.shape or not np.allclose(t_grid, expected):
         raise ValueError(
             f"{path}: waiting-time grid does not match the configuration "
             f"({len(t_grid)} rows vs {len(expected)} expected)")
-    for t in t_grid:
-        lines = by_t[t][1]
-        if not all(lines):
-            missing = [label for label, n in zip(OMEGA_LABELS, lines) if not n]
-            raise ValueError(
-                f"{path}:{min(n for n in lines if n)}: T_fs={t:g} has no row "
-                f"for omega_tuple {', '.join(missing)}")
-    return SignalTable(t_grid=t_grid,
-                       values=np.array([by_t[t][0] for t in t_grid]))
+    return SignalTable(t_grid=t_grid, values=np.array(list(by_t.values())))
 
 
 def _write_tensor_csv(path, tensors, t_grid):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["T_fs", "n", "m", "nu", "mu", "re_chi", "im_chi"])
+        writer.writerow(_TENSOR_HEADER)
         for t, tensor in zip(t_grid, tensors):
-            for n in (0, 1):
-                for m in (0, 1):
-                    for nu in (0, 1):
-                        for mu in (0, 1):
-                            val = tensor.elements[n, m, nu, mu]
-                            writer.writerow([
-                                _fmt(t), _STATE_NAMES[n], _STATE_NAMES[m],
-                                _STATE_NAMES[nu], _STATE_NAMES[mu],
-                                _fmt(val.real), _fmt(val.imag)])
-            for nu in (0, 1):
-                for mu in (0, 1):
-                    val = tensor.ground_row[nu, mu]
-                    writer.writerow([_fmt(t), "g", "g", _STATE_NAMES[nu],
-                                     _STATE_NAMES[mu],
-                                     _fmt(val.real), _fmt(val.imag)])
+            values = np.concatenate([tensor.elements.ravel(),
+                                     tensor.ground_row.ravel()])
+            for labels, val in zip(_TENSOR_ROWS, values):
+                writer.writerow([_fmt(t), *labels,
+                                 _fmt(val.real), _fmt(val.imag)])
 
 
-def cmd_reconstruct(config: ExperimentConfig, n_workers=None):
+def cmd_reconstruct(config: ExperimentConfig):
     basis = build_exciton_basis(config.dimer)
     cmat = build_c_matrix(basis, config.toolbox)
     if config.homogeneous_only:
@@ -226,7 +230,7 @@ def cmd_reconstruct(config: ExperimentConfig, n_workers=None):
             members_g = [replace(m, quantum_yield_gamma=gamma)
                          for m in members]
             result = run_ensemble(members_g, config.bath, config.toolbox,
-                                  config.t_grid, n_workers=n_workers,
+                                  config.t_grid,
                                   verbatim=config.verbatim_terms,
                                   want_tensors=True)
             tensors = result.tensors
@@ -255,36 +259,11 @@ def cmd_reconstruct(config: ExperimentConfig, n_workers=None):
 
 def _parse_tensor_csv(path):
     """Tensor CSV -> ordered dict T -> ProcessTensor; raises on bad rows."""
-    index = {"e": 0, "ep": 1}
-    elems = {}
-    grounds = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["T_fs", "n", "m", "nu", "mu",
-                                 "re_chi", "im_chi"]:
-            raise ValueError(f"{path}:1: unexpected header "
-                             f"{reader.fieldnames}")
-        for row in reader:
-            line = reader.line_num
-            try:
-                t = float(row["T_fs"])
-                val = float(row["re_chi"]) + 1j * float(row["im_chi"])
-                nu, mu = index[row["nu"]], index[row["mu"]]
-                if row["n"] == "g" and row["m"] == "g":
-                    grounds.setdefault(
-                        t, np.zeros((2, 2), dtype=complex))[nu, mu] = val
-                else:
-                    n, m = index[row["n"]], index[row["m"]]
-                    elems.setdefault(
-                        t, np.zeros((2, 2, 2, 2), dtype=complex))[
-                            n, m, nu, mu] = val
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{line}: malformed row ({exc})")
-    tensors = {}
-    for t in sorted(elems):
-        tensors[t] = ProcessTensor(waiting_time=t, elements=elems[t],
-                                   ground_row=grounds.get(t))
-    return tensors
+    return {t: ProcessTensor(waiting_time=t,
+                             elements=values[:16].reshape(2, 2, 2, 2),
+                             ground_row=values[16:].reshape(2, 2))
+            for t, values in _read_rows(path, _TENSOR_HEADER, _TENSOR_SLOT,
+                                        "n,m,nu,mu").items()}
 
 
 def cmd_validate(tensor_csv, tolerance=1e-8):
@@ -296,10 +275,6 @@ def cmd_validate(tensor_csv, tolerance=1e-8):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    if not tensors:
-        print("error: no waiting times found in tensor file",
-              file=sys.stderr)
-        return EXIT_CONFIG
     failed = False
     for t, tensor in tensors.items():
         diag = validate_tensor(tensor)
@@ -364,8 +339,6 @@ def build_parser():
         p.add_argument("--output-dir", help="override output directory")
         p.add_argument("--homogeneous", action="store_true",
                        help="single dimer, no disorder ensemble")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: env or cpu count)")
 
     v = sub.add_parser("validate")
     v.add_argument("tensor_csv")
@@ -381,10 +354,10 @@ def main(argv=None):
     try:
         if args.command == "simulate":
             config = _load_or_default(args)
-            return cmd_simulate(config, n_workers=args.workers)
+            return cmd_simulate(config)
         if args.command == "reconstruct":
             config = _load_or_default(args)
-            return cmd_reconstruct(config, n_workers=args.workers)
+            return cmd_reconstruct(config)
         if args.command == "validate":
             return cmd_validate(args.tensor_csv, tolerance=args.tolerance)
         if args.command == "report":

@@ -3,16 +3,13 @@
 Static diagonal disorder scatters the two site energies independently with
 a common Gaussian width; coupling, dipoles and quantum yield are shared.
 Each member gets its own exciton basis, rates, pulse-coefficient matrix and
-geometry blocks (the mixing angle shifts with the disorder), and members
-are evaluated in parallel with a fixed-order reduction, so results are
-bit-identical for a given seed regardless of worker count.  Ensemble
-reconstruction averages member-wise reconstructed tensors, a convex
-mixture of physical maps.
+geometry blocks (the mixing angle shifts with the disorder).  Members are
+evaluated one after another and summed in member order, so results are
+bit-identical for a given seed.  Ensemble reconstruction averages
+member-wise reconstructed tensors, a convex mixture of physical maps.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-import os
 
 import numpy as np
 
@@ -21,10 +18,8 @@ from .bath import (BathParams, ProcessTensor, build_redfield_generator,
 from .isoaverage import build_m_blocks, tensor_to_params
 from .model import DimerParams, build_exciton_basis
 from .pulses import PulseToolbox, build_c_matrix
-from .reconstruct import reconstruct_single
+from .reconstruct import reconstruct_rows
 from .response import SignalTable
-
-ENV_THREADS = "DIMERQPT_THREADS"
 
 
 @dataclass(frozen=True)
@@ -61,16 +56,6 @@ def sample_members(base: DimerParams, spec: EnsembleSpec):
     return members
 
 
-def resolve_worker_count(n_workers=None):
-    """Explicit argument, then the thread-count env var, then cpu count."""
-    if n_workers is not None:
-        return max(1, int(n_workers))
-    env = os.environ.get(ENV_THREADS)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def evaluate_member(member: DimerParams, bath: BathParams,
                     toolbox: PulseToolbox, t_grid, verbatim=False,
                     want_tensors=True):
@@ -91,16 +76,13 @@ def evaluate_member(member: DimerParams, bath: BathParams,
     n = len(t_grid)
     signals = np.zeros((n, 16), dtype=complex)
     pathways = np.zeros((n, 16), dtype=complex)
-    elements = np.zeros((n, 2, 2, 2, 2), dtype=complex) if want_tensors else None
-    grounds = np.zeros((n, 2, 2), dtype=complex) if want_tensors else None
     for k, waiting_time in enumerate(t_grid):
         truth = propagate_process_tensor(gen, waiting_time)
         pathways[k] = mfull @ tensor_to_params(truth) + blocks.offset
         signals[k] = cmat.entries @ pathways[k]
-        if want_tensors:
-            rec, _ = reconstruct_single(signals[k], cmat, blocks, waiting_time)
-            elements[k] = rec.elements
-            grounds[k] = rec.ground_row
+    if not want_tensors:
+        return signals, pathways, None, None
+    elements, grounds, _ = reconstruct_rows(signals, cmat, blocks)
     return signals, pathways, elements, grounds
 
 
@@ -111,12 +93,6 @@ def synthesize_signal_table(dimer: DimerParams, bath: BathParams,
     signals, _, _, _ = evaluate_member(dimer, bath, toolbox, tuple(t_grid),
                                        verbatim=verbatim, want_tensors=False)
     return SignalTable(t_grid=np.asarray(t_grid, dtype=float), values=signals)
-
-
-def _member_task(args):
-    member, bath, toolbox, t_grid, verbatim, want_tensors = args
-    return evaluate_member(member, bath, toolbox, t_grid,
-                           verbatim=verbatim, want_tensors=want_tensors)
 
 
 @dataclass
@@ -130,53 +106,31 @@ class EnsembleResult:
 
 
 def run_ensemble(members, bath: BathParams, toolbox: PulseToolbox, t_grid,
-                 n_workers=None, verbatim=False,
-                 want_tensors=True) -> EnsembleResult:
-    """Evaluate all members and reduce in member order.
-
-    The reduction accumulates results sequentially in member index order,
-    so the output does not depend on how the work was distributed.
-    """
+                 verbatim=False, want_tensors=True) -> EnsembleResult:
+    """Evaluate all members and sum their results in member order."""
     if not members:
         raise ValueError("members must be nonempty")
     t_grid = tuple(float(t) for t in t_grid)
-    workers = resolve_worker_count(n_workers)
     n = len(t_grid)
-    sums = {
-        "sig": np.zeros((n, 16), dtype=complex),
-        "pw": np.zeros((n, 16), dtype=complex),
-        "el": np.zeros((n, 2, 2, 2, 2), dtype=complex),
-        "gr": np.zeros((n, 2, 2), dtype=complex),
-    }
-
-    tasks = ((m, bath, toolbox, t_grid, verbatim, want_tensors)
-             for m in members)
-    if workers == 1 or len(members) == 1:
-        _reduce(map(_member_task, tasks), sums, want_tensors)
-    else:
-        chunk = max(1, len(members) // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(_member_task, tasks, chunksize=chunk)
-            _reduce(results, sums, want_tensors)
+    sums = [np.zeros((n, 16), dtype=complex),
+            np.zeros((n, 16), dtype=complex),
+            np.zeros((n, 2, 2, 2, 2), dtype=complex),
+            np.zeros((n, 2, 2), dtype=complex)]
+    for member in members:
+        parts = evaluate_member(member, bath, toolbox, t_grid,
+                                verbatim=verbatim, want_tensors=want_tensors)
+        for total, part in zip(sums, parts):
+            if part is not None:
+                total += part
 
     count = len(members)
-    table = SignalTable(t_grid=np.asarray(t_grid, dtype=float),
-                        values=sums["sig"] / count)
+    sig, pw, el, gr = (total / count for total in sums)
     tensors = None
     if want_tensors:
-        tensors = [ProcessTensor(waiting_time=t_grid[k],
-                                 elements=sums["el"][k] / count,
-                                 ground_row=sums["gr"][k] / count)
+        tensors = [ProcessTensor(waiting_time=t_grid[k], elements=el[k],
+                                 ground_row=gr[k])
                    for k in range(n)]
-    return EnsembleResult(signal_table=table,
-                          pathway_means=sums["pw"] / count,
-                          tensors=tensors, n_members=count)
-
-
-def _reduce(results, sums, want_tensors):
-    for signals, pathways, elements, grounds in results:
-        sums["sig"] += signals
-        sums["pw"] += pathways
-        if want_tensors:
-            sums["el"] += elements
-            sums["gr"] += grounds
+    return EnsembleResult(
+        signal_table=SignalTable(t_grid=np.asarray(t_grid, dtype=float),
+                                 values=sig),
+        pathway_means=pw, tensors=tensors, n_members=count)

@@ -62,28 +62,39 @@ def iso_average_four(a, b, c, d, e1=Z_LAB, e2=Z_LAB, e3=Z_LAB, e4=Z_LAB):
 N_PARAMS = 16
 
 
+def params_to_elements(params):
+    """Hermitian-consistent elements from real parameters.
+
+    ``params`` is (..., 16); the elements are (..., 2, 2, 2, 2), so a stack
+    of parameter vectors gives a stack of tensors.
+    """
+    x = np.asarray(params, dtype=float)
+    el = np.zeros(x.shape[:-1] + (2, 2, 2, 2), dtype=complex)
+    el[..., E, E, E, E] = x[..., 0]
+    el[..., EP, EP, E, E] = x[..., 1]
+    el[..., E, EP, E, E] = x[..., 2] + 1j * x[..., 3]
+    el[..., E, E, EP, EP] = x[..., 4]
+    el[..., EP, EP, EP, EP] = x[..., 5]
+    el[..., E, EP, EP, EP] = x[..., 6] + 1j * x[..., 7]
+    el[..., E, E, E, EP] = x[..., 8] + 1j * x[..., 12]
+    el[..., EP, EP, E, EP] = x[..., 9] + 1j * x[..., 13]
+    el[..., E, EP, E, EP] = x[..., 10] + 1j * x[..., 14]
+    el[..., EP, E, E, EP] = x[..., 11] + 1j * x[..., 15]
+    # hermiticity fills the remaining elements
+    el[..., EP, E, E, E] = np.conj(el[..., E, EP, E, E])
+    el[..., EP, E, EP, EP] = np.conj(el[..., E, EP, EP, EP])
+    for n in (E, EP):
+        for m in (E, EP):
+            el[..., n, m, EP, E] = np.conj(el[..., m, n, E, EP])
+    return el
+
+
 def params_to_tensor(params, waiting_time=0.0) -> ProcessTensor:
     """Build a Hermitian-consistent tensor from the 16 real parameters."""
     x = np.asarray(params, dtype=float)
     if x.shape != (N_PARAMS,):
         raise ValueError(f"expected {N_PARAMS} parameters, got shape {x.shape}")
-    el = np.zeros((2, 2, 2, 2), dtype=complex)
-    el[E, E, E, E] = x[0]
-    el[EP, EP, E, E] = x[1]
-    el[E, EP, E, E] = x[2] + 1j * x[3]
-    el[E, E, EP, EP] = x[4]
-    el[EP, EP, EP, EP] = x[5]
-    el[E, EP, EP, EP] = x[6] + 1j * x[7]
-    el[E, E, E, EP] = x[8] + 1j * x[12]
-    el[EP, EP, E, EP] = x[9] + 1j * x[13]
-    el[E, EP, E, EP] = x[10] + 1j * x[14]
-    el[EP, E, E, EP] = x[11] + 1j * x[15]
-    # hermiticity fills the remaining elements
-    el[EP, E, E, E] = np.conj(el[E, EP, E, E])
-    el[EP, E, EP, EP] = np.conj(el[E, EP, EP, EP])
-    for n in (E, EP):
-        for m in (E, EP):
-            el[n, m, EP, E] = np.conj(el[m, n, E, EP])
+    el = params_to_elements(x)
     return ProcessTensor(waiting_time=waiting_time, elements=el,
                          ground_row=closure_ground_row(el))
 
@@ -107,6 +118,16 @@ def tensor_to_params(tensor: ProcessTensor):
         el[E, EP, E, EP].imag,
         el[EP, E, E, EP].imag,
     ])
+
+
+# The zero-parameter tensor and the 16 unit-parameter tensors, stacked along
+# a trailing axis: one pass over the pathways evaluates all 17 at once.
+_PROBE_ELEMENTS = params_to_elements(
+    np.vstack([np.zeros(N_PARAMS), np.eye(N_PARAMS)]))
+_PROBE_TENSOR = ProcessTensor(
+    waiting_time=0.0,
+    elements=np.moveaxis(_PROBE_ELEMENTS, 0, -1),
+    ground_row=np.moveaxis(closure_ground_row(_PROBE_ELEMENTS), 0, -1))
 
 
 # canonical position of (p, q, r, s) in the 16-component pathway vector
@@ -160,9 +181,9 @@ class MBlocks:
         return full
 
     def apply(self, params):
-        """Forward map: parameters -> canonical averaged pathway vector."""
-        return self.full_matrix() @ np.asarray(params, dtype=float) \
-            + self.offset
+        """Forward map: parameters (..., 16) -> pathway vectors (..., 16)."""
+        return (np.asarray(params, dtype=float) @ self.full_matrix().T
+                + self.offset)
 
 
 def build_m_blocks(basis: ExcitonBasis, gamma: float,
@@ -170,28 +191,20 @@ def build_m_blocks(basis: ExcitonBasis, gamma: float,
     """Derive the geometry blocks from the averaged pathway expressions.
 
     Each column is the averaged pathway vector generated by one unit vector
-    of the real tensor parametrization at zero coherence and echo times.
-    Entries that the block structure predicts to vanish are checked to be
-    numerically zero.
+    of the real tensor parametrization at zero coherence and echo times;
+    all of them come out of one pass over the pathways on the stacked probe
+    tensor.  Entries that the block structure predicts to vanish are
+    checked to be numerically zero.
     """
-    from .response import iso_pathway_vector, projection_table
+    from .response import iso_pathway_vector
 
-    # the dipole factors depend on the geometry only, not on the tensor
-    table = projection_table(basis, iso=True, verbatim=verbatim)
+    vectors = iso_pathway_vector(basis, gamma, _PROBE_TENSOR,
+                                 verbatim=verbatim)  # (16, 17)
     # The hole term and the ground-row closure constant cancel, so the
     # averaged pathway vector is strictly linear in the parameters; the
     # offset at zero parameters is subtracted anyway as a guard.
-    offset = iso_pathway_vector(basis, gamma, params_to_tensor(np.zeros(N_PARAMS)),
-                                verbatim=verbatim, table=table)
-    columns = []
-    for k in range(N_PARAMS):
-        unit = np.zeros(N_PARAMS)
-        unit[k] = 1.0
-        tensor = params_to_tensor(unit)
-        columns.append(iso_pathway_vector(basis, gamma, tensor,
-                                          verbatim=verbatim, table=table)
-                       - offset)
-    full = np.array(columns).T  # (16 pathways, 16 params)
+    offset = vectors[:, 0].copy()
+    full = vectors[:, 1:] - vectors[:, :1]  # (16 pathways, 16 params)
 
     mask = np.zeros((16, 16), dtype=bool)
     for rows, cols in [(_ROWS_EE, _COLS_EE), (_ROWS_EPEP, _COLS_EPEP),
@@ -215,23 +228,22 @@ def build_m_blocks(basis: ExcitonBasis, gamma: float,
                    m_eep=blocks["eep"], gamma=gamma, offset=offset)
 
 
-def solve_chi_blocks(pathway_vector, blocks: MBlocks,
-                     waiting_time=0.0) -> ProcessTensor:
-    """Invert the geometry blocks and reassemble the complex tensor.
+def solve_chi_blocks(pathways, blocks: MBlocks):
+    """Invert the geometry blocks for a stack of pathway vectors.
 
-    ``pathway_vector`` is the canonical 16-component averaged pathway
-    vector at zero coherence and echo times.  The solve is exact (square,
-    noiseless); consistency of the overdetermined real/imaginary structure
-    is the caller's concern (see ReconstructionReport residuals).
+    ``pathways`` is (16, n) complex, one canonical averaged pathway vector
+    (zero coherence and echo times) per column; returns the (16, n) real
+    parameters.  The solves are exact (square, noiseless); consistency of
+    the overdetermined real/imaginary structure is the caller's concern
+    (see ReconstructionReport residuals).
     """
-    p = np.asarray(pathway_vector, dtype=complex) - blocks.offset
-    params = np.zeros(N_PARAMS)
+    p = np.asarray(pathways, dtype=complex) - blocks.offset[:, None]
+    params = np.zeros((N_PARAMS, p.shape[1]))
     for rows, cols, block in [(_ROWS_EE, _COLS_EE, blocks.m_ee),
                               (_ROWS_EPEP, _COLS_EPEP, blocks.m_epep),
                               (_ROWS_EEP, _COLS_EEP, blocks.m_eep)]:
-        sol = np.linalg.solve(block, p[rows])
-        params[cols] = sol.real
-    return params_to_tensor(params, waiting_time=waiting_time)
+        params[cols] = np.linalg.solve(block, p[rows]).real
+    return params
 
 
 def closed_form_block_ee(basis: ExcitonBasis, gamma: float):

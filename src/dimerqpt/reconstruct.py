@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bath import ProcessTensor
-from .isoaverage import MBlocks, solve_chi_blocks, tensor_to_params
+from .bath import ProcessTensor, closure_ground_row
+from .isoaverage import MBlocks, params_to_elements, solve_chi_blocks
 from .pulses import CMatrix
 
 _CHOI_STATES = ("g", "e", "ep")
@@ -68,13 +68,13 @@ def validate_tensor(tensor: ProcessTensor) -> TensorDiagnostics:
     )
 
 
-def invert_signals(signal_row, cmatrix: CMatrix, ridge=0.0):
-    """Signals (16,) -> pathway amplitudes (16,).
+def invert_signals(signals, cmatrix: CMatrix, ridge=0.0):
+    """Signals -> pathway amplitudes, one 16-vector or (16, n) columns.
 
     With zero ridge this is the exact solve; a positive ridge switches to
     Tikhonov-regularized least squares for noisy input.
     """
-    b = np.asarray(signal_row, dtype=complex)
+    b = np.asarray(signals, dtype=complex)
     if ridge == 0.0:
         return cmatrix.solve(b)
     a = cmatrix.entries
@@ -82,19 +82,32 @@ def invert_signals(signal_row, cmatrix: CMatrix, ridge=0.0):
     return np.linalg.solve(lhs, a.conj().T @ b)
 
 
+def reconstruct_rows(signals, cmatrix: CMatrix, mblocks: MBlocks, ridge=0.0):
+    """Two-stage inversion of every waiting time at once.
+
+    ``signals`` is (n, 16) complex, one row per waiting time with columns
+    in OMEGA_LABELS order.  One C solve with (16, n) right-hand sides gives
+    the pathway vectors, one solve per geometry block the (16, n) real
+    parameters.  Returns elements (n, 2, 2, 2, 2), ground rows (n, 2, 2)
+    and pathway residuals (n,): the mismatch between the recovered pathway
+    vector and the geometry blocks applied to the real parameters actually
+    kept, nonzero when the input is inconsistent with a Hermitian tensor.
+    """
+    pathways = invert_signals(np.asarray(signals).T, cmatrix, ridge=ridge)
+    params = solve_chi_blocks(pathways, mblocks)
+    residuals = np.max(np.abs(mblocks.apply(params.T) - pathways.T), axis=1)
+    elements = params_to_elements(params.T)
+    return elements, closure_ground_row(elements), residuals
+
+
 def reconstruct_single(signal_row, cmatrix: CMatrix, mblocks: MBlocks,
                        waiting_time, ridge=0.0):
-    """One waiting time: signals -> (tensor, pathway residual).
-
-    The residual is the mismatch between the recovered pathway vector and
-    the geometry blocks applied to the real parameters actually kept; it is
-    nonzero when the input is inconsistent with a Hermitian tensor.
-    """
-    pathways = invert_signals(signal_row, cmatrix, ridge=ridge)
-    tensor = solve_chi_blocks(pathways, mblocks, waiting_time=waiting_time)
-    fitted = mblocks.apply(tensor_to_params(tensor))
-    residual = float(np.max(np.abs(fitted - pathways)))
-    return tensor, residual
+    """One waiting time: signals (16,) -> (tensor, pathway residual)."""
+    elements, grounds, residuals = reconstruct_rows(
+        np.asarray(signal_row)[None, :], cmatrix, mblocks, ridge=ridge)
+    return (ProcessTensor(waiting_time=waiting_time, elements=elements[0],
+                          ground_row=grounds[0]),
+            float(residuals[0]))
 
 
 @dataclass
@@ -132,15 +145,10 @@ def reconstruct(signal_table, cmatrix: CMatrix, mblocks: MBlocks,
     ``reference``, if given, is a list of ground-truth tensors used to fill
     the per-time reconstruction errors.
     """
-    n = len(signal_table.t_grid)
-    tensors = []
-    residuals = np.zeros(n)
-    for i in range(n):
-        tensor, res = reconstruct_single(signal_table.values[i], cmatrix,
-                                         mblocks, signal_table.t_grid[i],
-                                         ridge=ridge)
-        tensors.append(tensor)
-        residuals[i] = res
+    elements, grounds, residuals = reconstruct_rows(
+        signal_table.values, cmatrix, mblocks, ridge=ridge)
+    tensors = [ProcessTensor(waiting_time=t, elements=el, ground_row=gr)
+               for t, el, gr in zip(signal_table.t_grid, elements, grounds)]
     diagnostics = [validate_tensor(t) for t in tensors]
     errors = None
     if reference is not None:

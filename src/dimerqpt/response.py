@@ -159,10 +159,11 @@ def pathway_amplitude(p, q, r, s, tau, t, gamma, basis: ExcitonBasis,
 
 def iso_pathway_vector(basis: ExcitonBasis, gamma, tensor: ProcessTensor,
                        tau=0.0, t=0.0, gen=None, verbatim=False, table=None):
-    """All sixteen isotropically averaged amplitudes in canonical order."""
+    """All sixteen averaged amplitudes in canonical order, (16, ...) for a
+    tensor stacked along trailing axes of its elements and ground row."""
     if table is None:
         table = projection_table(basis, iso=True, verbatim=verbatim)
-    out = np.zeros(16, dtype=complex)
+    out = np.zeros((16,) + tensor.elements.shape[4:], dtype=complex)
     for (p, q, r, s) in PATHWAY_ORDER:
         out[pathway_index(p, q, r, s)] = pathway_amplitude(
             p, q, r, s, tau, t, gamma, basis, tensor, gen=gen,

@@ -13,6 +13,19 @@ def dimer():
 
 
 @pytest.fixture(scope="session")
+def geometries(dimer):
+    """Three dimers with different mixing angles and dipole geometries."""
+    return [
+        dimer,
+        DimerParams(site_energy_1=12700.0, site_energy_2=12950.0,
+                    coupling_j=-80.0, dipole_ratio_d2_over_d1=0.7,
+                    dipole_angle_phi=1.1),
+        DimerParams(site_energy_1=13000.0, site_energy_2=12500.0,
+                    coupling_j=300.0, dipole_angle_phi=2.4),
+    ]
+
+
+@pytest.fixture(scope="session")
 def basis(dimer):
     return build_exciton_basis(dimer)
 

@@ -265,10 +265,10 @@ def test_criterion_8_ensemble_scale():
     start = time.time()
     members = sample_members(CFG.dimer, CFG.ensemble)
     result = run_ensemble(members, CFG.bath, CFG.toolbox, CFG.t_grid,
-                          n_workers=8, want_tensors=True)
+                          want_tensors=True)
     elapsed = time.time() - start
     rerun = run_ensemble(members, CFG.bath, CFG.toolbox, CFG.t_grid,
-                         n_workers=4, want_tensors=True)
+                         want_tensors=True)
     identical = (np.array_equal(result.signal_table.values,
                                 rerun.signal_table.values)
                  and all(np.array_equal(a.elements, b.elements)

@@ -216,8 +216,8 @@ def test_ensemble_flow_matches_member_mean(tmp_path):
                   t_grid=(120.0, 300.0), gamma_list=(0.0, 2.0))
     path = str(tmp_path / "ens.json")
     save_config(cfg, path)
-    assert main(["simulate", "--config", path, "--workers", "1"]) == 0
-    assert main(["reconstruct", "--config", path, "--workers", "1"]) == 0
+    assert main(["simulate", "--config", path]) == 0
+    assert main(["reconstruct", "--config", path]) == 0
     gens = [build_redfield_generator(build_exciton_basis(m), cfg.bath)
             for m in sample_members(cfg.dimer, cfg.ensemble)]
     tensors = {}
@@ -236,3 +236,52 @@ def test_ensemble_flow_matches_member_mean(tmp_path):
         a, b = tensors["0"][t], tensors["2"][t]
         assert np.max(np.abs(a.elements - b.elements)) < 1e-8
         assert np.max(np.abs(a.ground_row - b.ground_row)) < 1e-8
+
+
+def _tensor_file_error(config_path, small_config, capsys, edit):
+    main(["simulate", "--config", config_path])
+    main(["reconstruct", "--config", config_path])
+    path = os.path.join(small_config.output_dir, "tensors_gamma2.csv")
+    with open(path) as fh:
+        lines = fh.readlines()
+    with open(path, "w") as fh:
+        fh.writelines(edit(lines))
+    capsys.readouterr()
+    assert main(["validate", path]) == 3
+    err = capsys.readouterr().err
+    assert path in err
+    assert "Traceback" not in err
+    return err, path
+
+
+def test_tensor_file_deleted_row(config_path, small_config, capsys):
+    err, path = _tensor_file_error(
+        config_path, small_config, capsys,
+        lambda lines: [ln for ln in lines
+                       if not ln.startswith("200,e,ep,e,e,")])
+    assert f"{path}:" in err
+    assert "e,ep,e,e" in err
+
+
+def test_tensor_file_conflicting_duplicate(config_path, small_config,
+                                           capsys):
+    err, path = _tensor_file_error(
+        config_path, small_config, capsys,
+        lambda lines: lines + ["120,e,e,e,e,5,0\n"])
+    # header + 3 T x 20 rows, then the appended row; the first data row
+    # is T=120, e,e,e,e
+    assert f"{path}:62: duplicate" in err
+    assert "(first at line 2)" in err
+
+
+def test_tensor_file_ground_only_time(config_path, small_config, capsys):
+    err, path = _tensor_file_error(
+        config_path, small_config, capsys,
+        lambda lines: lines + ["300,g,g,e,e,1,0\n"])
+    assert f"{path}:62" in err
+    assert "T_fs=300" in err
+
+
+def test_tensor_file_header_only(config_path, small_config, capsys):
+    _tensor_file_error(config_path, small_config, capsys,
+                       lambda lines: lines[:1])

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from dimerqpt.ensemble import (ENV_THREADS, EnsembleSpec, evaluate_member,
-                               resolve_worker_count, run_ensemble,
+from dimerqpt.ensemble import (EnsembleSpec, evaluate_member, run_ensemble,
                                sample_members, synthesize_signal_table)
 from dimerqpt.isoaverage import build_m_blocks
 from dimerqpt.pulses import build_c_matrix
@@ -47,28 +46,32 @@ def test_sample_mean_within_standard_error(dimer):
 
 
 def test_single_member_equals_direct_synthesis(dimer, bath, toolbox):
-    table = run_ensemble([dimer], bath, toolbox, T_GRID, n_workers=1,
+    table = run_ensemble([dimer], bath, toolbox, T_GRID,
                          want_tensors=False).signal_table
     direct = synthesize_signal_table(dimer, bath, toolbox, T_GRID)
     assert np.array_equal(table.values, direct.values)
 
 
-def test_worker_count_invariance(dimer, bath, toolbox):
-    spec = EnsembleSpec(n_members=24, sigma_inh=40.0, seed=11)
+def test_reduction_in_member_order(dimer, bath, toolbox):
+    spec = EnsembleSpec(n_members=6, sigma_inh=40.0, seed=11)
     members = sample_members(dimer, spec)
-    serial = run_ensemble(members, bath, toolbox, T_GRID, n_workers=1)
-    parallel = run_ensemble(members, bath, toolbox, T_GRID, n_workers=4)
-    assert np.array_equal(serial.signal_table.values,
-                          parallel.signal_table.values)
-    for a, b in zip(serial.tensors, parallel.tensors):
-        assert np.array_equal(a.elements, b.elements)
-        assert np.array_equal(a.ground_row, b.ground_row)
+    result = run_ensemble(members, bath, toolbox, T_GRID)
+    sums = None
+    for member in members:
+        parts = evaluate_member(member, bath, toolbox, T_GRID)
+        sums = list(parts) if sums is None else [
+            total + part for total, part in zip(sums, parts)]
+    sig, pw, el, gr = (total / len(members) for total in sums)
+    assert np.array_equal(result.signal_table.values, sig)
+    assert np.array_equal(result.pathway_means, pw)
+    assert np.array_equal([t.elements for t in result.tensors], el)
+    assert np.array_equal([t.ground_row for t in result.tensors], gr)
 
 
 def test_ensemble_tensor_stays_physical(dimer, bath, toolbox):
     spec = EnsembleSpec(n_members=40, sigma_inh=40.0, seed=5)
     members = sample_members(dimer, spec)
-    result = run_ensemble(members, bath, toolbox, T_GRID, n_workers=1)
+    result = run_ensemble(members, bath, toolbox, T_GRID)
     for tensor in result.tensors:
         diag = validate_tensor(tensor)
         assert diag.passed(herm_tol=1e-12, trace_tol=1e-12, choi_tol=1e-10)
@@ -98,19 +101,11 @@ def test_linearity_transfer_fixed_matrices(dimer, bath, toolbox):
 def test_inhomogeneous_tensor_differs_from_homogeneous(dimer, bath, toolbox):
     spec = EnsembleSpec(n_members=60, sigma_inh=40.0, seed=8)
     members = sample_members(dimer, spec)
-    ens = run_ensemble(members, bath, toolbox, T_GRID, n_workers=1)
-    homo = run_ensemble([dimer], bath, toolbox, T_GRID, n_workers=1)
+    ens = run_ensemble(members, bath, toolbox, T_GRID)
+    homo = run_ensemble([dimer], bath, toolbox, T_GRID)
     diff = np.max(np.abs(ens.tensors[-1].elements
                          - homo.tensors[-1].elements))
     assert diff > 1e-4
-
-
-def test_resolve_worker_count(monkeypatch):
-    assert resolve_worker_count(3) == 3
-    monkeypatch.setenv(ENV_THREADS, "5")
-    assert resolve_worker_count() == 5
-    monkeypatch.delenv(ENV_THREADS)
-    assert resolve_worker_count() >= 1
 
 
 def test_empty_members_rejected(bath, toolbox):

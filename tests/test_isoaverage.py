@@ -1,14 +1,19 @@
+import math
+
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
 from dimerqpt.bath import ProcessTensor
 from dimerqpt.errors import SingularGeometryError
-from dimerqpt.isoaverage import (N_PARAMS, build_m_blocks,
+from dimerqpt.isoaverage import (COND_THRESHOLD, N_PARAMS, build_m_blocks,
                                  closed_form_block_ee, iso_average_four,
                                  params_to_tensor, pathway_index,
                                  solve_chi_blocks, tensor_to_params)
 from dimerqpt.model import DimerParams, build_exciton_basis
+from dimerqpt.response import iso_pathway_vector
 
 
 def mc_average_zzzz(vectors, n_rotations, seed):
@@ -93,10 +98,10 @@ def test_block_shapes_and_conditioning(basis):
 
 def test_full_matrix_solve_round_trip(basis, rng):
     blocks = build_m_blocks(basis, 1.0)
-    params = rng.normal(size=N_PARAMS)
-    pathway_vec = blocks.apply(params)
-    tensor = solve_chi_blocks(pathway_vec, blocks, waiting_time=5.0)
-    assert np.allclose(tensor_to_params(tensor), params, atol=1e-10)
+    params = rng.normal(size=(3, N_PARAMS))
+    pathways = blocks.apply(params)
+    assert np.allclose(solve_chi_blocks(pathways.T, blocks), params.T,
+                       atol=1e-10)
 
 
 def test_gamma_one_decouples_doubly_excited_routes(basis):
@@ -112,7 +117,6 @@ def test_orthogonal_geometry_singular():
     # equal site dipoles at phi = pi/2 make mu_eg and mu_epg orthogonal;
     # at gamma = 1 the doubly-excited routes are off as well, so the
     # coherence rows of the diagonal blocks vanish
-    import math
     ortho = DimerParams(site_energy_1=12881.0, site_energy_2=12719.0,
                         coupling_j=120.0, dipole_ratio_d2_over_d1=1.0,
                         dipole_angle_phi=math.pi / 2)
@@ -130,30 +134,52 @@ def test_blocks_are_linear_in_gamma(basis):
     assert np.allclose(b1.m_eep, 0.5 * (b0.m_eep + b2.m_eep), atol=1e-13)
 
 
-def test_m_blocks_equal_column_by_column_synthesis():
-    # the blocks share one dipole-factor table across all seventeen pathway
-    # vectors; each column must equal a vector that builds its own table
-    from dimerqpt.response import iso_pathway_vector
-    geometries = [
-        DimerParams(site_energy_1=12881.0, site_energy_2=12719.0,
-                    coupling_j=120.0),
-        DimerParams(site_energy_1=12700.0, site_energy_2=12950.0,
-                    coupling_j=-80.0, dipole_ratio_d2_over_d1=0.7,
-                    dipole_angle_phi=1.1),
-        DimerParams(site_energy_1=13000.0, site_energy_2=12500.0,
-                    coupling_j=300.0, dipole_angle_phi=2.4),
-    ]
+def column_by_column(basis, gamma, verbatim):
+    """Oracle: the full map and offset from one pathway vector per column,
+    each building its own dipole-factor table."""
+    offset = iso_pathway_vector(basis, gamma,
+                                params_to_tensor(np.zeros(N_PARAMS)),
+                                verbatim=verbatim)
+    columns = [iso_pathway_vector(basis, gamma,
+                                  params_to_tensor(np.eye(N_PARAMS)[k]),
+                                  verbatim=verbatim) - offset
+               for k in range(N_PARAMS)]
+    return np.array(columns).T, offset
+
+
+def test_m_blocks_equal_column_by_column_synthesis(geometries):
+    # the blocks come from one pass over the stacked probe tensor; each
+    # column must equal a vector evaluated on its own
     for dimer in geometries:
         basis = build_exciton_basis(dimer)
         for verbatim in (False, True):
             for gamma in (0.0, 1.3):
                 blocks = build_m_blocks(basis, gamma, verbatim=verbatim)
-                offset = iso_pathway_vector(
-                    basis, gamma, params_to_tensor(np.zeros(N_PARAMS)),
-                    verbatim=verbatim)
-                columns = [iso_pathway_vector(
-                    basis, gamma, params_to_tensor(np.eye(N_PARAMS)[k]),
-                    verbatim=verbatim) - offset for k in range(N_PARAMS)]
-                assert np.array_equal(blocks.full_matrix(),
-                                      np.array(columns).T)
+                full, offset = column_by_column(basis, gamma, verbatim)
+                assert np.array_equal(blocks.full_matrix(), full)
                 assert np.array_equal(blocks.offset, offset)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@example(e1=12881.0, e2=12719.0, coupling=120.0, ratio=1.0,
+         phi=math.pi / 2, gamma=1.0, verbatim=False)
+@given(e1=st.floats(12000.0, 14000.0), e2=st.floats(12000.0, 14000.0),
+       coupling=st.floats(-400.0, 400.0), ratio=st.floats(0.2, 5.0),
+       phi=st.floats(0.0, math.pi), gamma=st.floats(0.0, 2.0),
+       verbatim=st.booleans())
+def test_m_blocks_random_dimers(e1, e2, coupling, ratio, phi, gamma,
+                                verbatim):
+    # a random geometry either reproduces the column-by-column map exactly
+    # or is rejected as singular, and then the map really is ill conditioned
+    assume(e1 != e2 or coupling != 0.0)
+    basis = build_exciton_basis(DimerParams(
+        site_energy_1=e1, site_energy_2=e2, coupling_j=coupling,
+        dipole_ratio_d2_over_d1=ratio, dipole_angle_phi=phi))
+    full, offset = column_by_column(basis, gamma, verbatim)
+    try:
+        blocks = build_m_blocks(basis, gamma, verbatim=verbatim)
+    except SingularGeometryError:
+        assert np.linalg.cond(full) > COND_THRESHOLD
+        return
+    assert np.array_equal(blocks.full_matrix(), full)
+    assert np.array_equal(blocks.offset, offset)

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from dimerqpt.bath import ProcessTensor, propagate_process_tensor
+from dimerqpt.bath import (ProcessTensor, build_redfield_generator,
+                           propagate_process_tensor)
 from dimerqpt.isoaverage import build_m_blocks
+from dimerqpt.model import build_exciton_basis
 from dimerqpt.pulses import build_c_matrix
 from dimerqpt.reconstruct import (choi_matrix, invert_signals,
                                   min_choi_eigenvalue, reconstruct,
-                                  reconstruct_single, tensor_distance,
+                                  reconstruct_rows, reconstruct_single,
+                                  tensor_distance,
                                   validate_tensor)
 from dimerqpt.response import SignalTable, iso_pathway_vector
 
@@ -117,6 +120,34 @@ def test_random_lindblad_round_trip(basis, toolbox, rng):
             rec, _ = reconstruct_single(signals, cmat, blk,
                                         truth.waiting_time)
             assert tensor_distance(rec, truth) < 1e-10
+
+
+@pytest.mark.parametrize("relative_ridge", [0.0, 1e-6])
+def test_stacked_inversion_matches_single_rows(geometries, bath, toolbox, rng,
+                                               relative_ridge):
+    t_grid = np.array([120.0, 260.0, 400.0, 700.0])
+    for dimer in geometries:
+        basis = build_exciton_basis(dimer)
+        gen = build_redfield_generator(basis, bath)
+        cmat = build_c_matrix(basis, toolbox)
+        ridge = relative_ridge * np.linalg.norm(cmat.entries, 2) ** 2
+        for verbatim in (False, True):
+            blocks = build_m_blocks(basis, 1.3, verbatim=verbatim)
+            clean = np.array([
+                cmat.entries @ iso_pathway_vector(
+                    basis, 1.3, propagate_process_tensor(gen, t),
+                    verbatim=verbatim)
+                for t in t_grid])
+            # noise makes the data inconsistent, so residuals are nonzero
+            signals = clean * (1 + 1e-3 * rng.normal(size=clean.shape))
+            elements, grounds, residuals = reconstruct_rows(
+                signals, cmat, blocks, ridge=ridge)
+            for k, t in enumerate(t_grid):
+                tensor, residual = reconstruct_single(
+                    signals[k], cmat, blocks, t, ridge=ridge)
+                assert np.max(np.abs(elements[k] - tensor.elements)) < 1e-13
+                assert np.max(np.abs(grounds[k] - tensor.ground_row)) < 1e-13
+                assert abs(residuals[k] - residual) < 1e-13
 
 
 def test_reconstruct_report(basis, gen, toolbox):
