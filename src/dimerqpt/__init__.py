@@ -21,7 +21,7 @@ from .pulses import (CMatrix, PulseToolbox, base_coefficient_matrix,
 from .reconstruct import (ReconstructionReport, TensorDiagnostics,
                           choi_matrix, invert_signals, reconstruct,
                           reconstruct_rows, reconstruct_single,
-                          validate_tensor)
+                          validate_tensor, validate_tensors)
 from .response import (PATHWAY_ORDER, SignalTable, iso_pathway_vector,
                        pathway_amplitude, pathway_terms)
 

@@ -9,9 +9,8 @@ manifest so a run can be reproduced exactly.  Exit codes: 0 success,
 import argparse
 import csv
 from dataclasses import replace
-from itertools import product
+from itertools import islice, product
 import json
-import math
 import os
 import sys
 
@@ -26,7 +25,7 @@ from .errors import ConfigError, DimerQptError
 from .isoaverage import build_m_blocks
 from .model import build_exciton_basis
 from .pulses import build_c_matrix
-from .reconstruct import reconstruct, validate_tensor
+from .reconstruct import reconstruct, validate_tensors
 from .response import OMEGA_LABELS, PATHWAY_LABELS, SignalTable
 
 EXIT_OK = 0
@@ -36,6 +35,7 @@ EXIT_IO = 3
 
 _STATE_NAMES = ("e", "ep")
 _SIGNAL_HEADER = ["T_fs", "omega_tuple", "re_signal", "im_signal"]
+_PATHWAY_HEADER = ["T_fs", "pathway", "re_p", "im_p"]
 _OMEGA_COLUMN = {label: col for col, label in enumerate(OMEGA_LABELS)}
 _TENSOR_HEADER = ["T_fs", "n", "m", "nu", "mu", "re_chi", "im_chi"]
 # (n, m, nu, mu) of each tensor-file row: the elements in array order, then
@@ -43,10 +43,8 @@ _TENSOR_HEADER = ["T_fs", "n", "m", "nu", "mu", "re_chi", "im_chi"]
 _TENSOR_ROWS = (list(product(_STATE_NAMES, repeat=4))
                 + [("g", "g") + p for p in product(_STATE_NAMES, repeat=2)])
 _TENSOR_SLOT = {",".join(key): slot for slot, key in enumerate(_TENSOR_ROWS)}
-
-
-def _fmt(x):
-    return f"{x:.17g}"
+_ROW_FORMAT = "%s,%s,%.17g,%.17g\r\n"
+_READ_CHUNK = 512   # CSV rows tokenized and parsed per step
 
 
 def _gamma_tag(gamma):
@@ -103,75 +101,164 @@ def cmd_simulate(config: ExperimentConfig):
             signals = _apply_noise(signals, config.noise,
                                    config.ensemble.seed, gidx)
         sig_path, path_path = _signal_paths(config, gamma)
-        with open(sig_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_SIGNAL_HEADER)
-            for k, t in enumerate(config.t_grid):
-                for j, label in enumerate(OMEGA_LABELS):
-                    writer.writerow([_fmt(t), label,
-                                     _fmt(signals[k, j].real),
-                                     _fmt(signals[k, j].imag)])
-        with open(path_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["T_fs", "pathway", "re_p", "im_p"])
-            for k, t in enumerate(config.t_grid):
-                for j, label in enumerate(PATHWAY_LABELS):
-                    writer.writerow([_fmt(t), label,
-                                     _fmt(result.pathway_means[k, j].real),
-                                     _fmt(result.pathway_means[k, j].imag)])
+        _write_rows(sig_path, _SIGNAL_HEADER, config.t_grid, OMEGA_LABELS,
+                    signals)
+        _write_rows(path_path, _PATHWAY_HEADER, config.t_grid,
+                    PATHWAY_LABELS, result.pathway_means)
     _write_manifest(config, config.output_dir)
     return EXIT_OK
+
+
+def _write_rows(path, header, t_grid, labels, values):
+    """Write a T-major CSV: for each of the n waiting times in ``t_grid``,
+    one row ``T_fs,label,re,im`` per label.
+
+    ``labels`` holds k row keys (a key of several fields comes joined with
+    commas) and ``values`` is (n, k) complex.  Numbers are written with
+    ``%.17g``, which round-trips every double, and lines end in CRLF: the
+    bytes the ``csv`` module's writer gives for ``f"{x:.17g}"`` fields.
+    One ``write`` per waiting time.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for t, row in zip(t_grid, values):
+            t = "%.17g" % t
+            fh.write("".join([_ROW_FORMAT % (t, label, r, i) for label, r, i
+                              in zip(labels, row.real.tolist(),
+                                     row.imag.tolist())]))
+
+
+def _floats(texts):
+    """(floats of ``texts``, None), or, when ``float`` rejects a text,
+    (floats of the texts before it, (its index, the error message))."""
+    try:
+        return list(map(float, texts)), None
+    except ValueError:
+        for index, text in enumerate(texts):
+            try:
+                float(text)
+            except ValueError as exc:
+                return list(map(float, texts[:index])), (index, str(exc))
+
+
+def _parse_chunk(rows, width, slots, key_name):
+    """Parse the leading well-formed rows of a chunk of non-blank rows.
+
+    Returns (T, slot, re, im) arrays of the rows before the first malformed
+    one, and what is wrong with that row, or None when every row is well
+    formed.  A row is checked for its field count, its key, its
+    three numbers in column order and their finiteness, in that order.
+    """
+    fault = None
+    n = len(rows)
+    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=n)
+    bad = np.flatnonzero(lengths != width)
+    if bad.size:
+        n = int(bad[0])
+        fault = f"expected {width} fields, got {lengths[n]}"
+    columns = list(zip(*rows[:n])) or [()] * width
+    keys = list(map(",".join, zip(*columns[1:-2])))
+    slot = list(map(slots.get, keys))
+    if None in slot:
+        n = slot.index(None)
+        fault = f"unknown {key_name} {keys[n]!r}"
+    numbers = []
+    first_bad = n
+    for column in (columns[0], columns[-2], columns[-1]):
+        values, bad = _floats(column[:n])
+        if bad is not None and bad[0] < first_bad:
+            first_bad, fault = bad
+        numbers.append(values)
+    n = first_bad
+    t, re, im = (np.array(values[:n], dtype=float) for values in numbers)
+    finite = np.isfinite(t) & np.isfinite(re) & np.isfinite(im)
+    if not finite.all():
+        n = int(np.argmin(finite))
+        fault = "non-finite number"
+    return (t[:n], np.array(slot[:n], dtype=np.intp), re[:n], im[:n]), fault
+
+
+def _data_row_lines(path, indices):
+    """{index: line number} of data rows of a CSV file (header and blank
+    rows not counted), as ``csv.reader.line_num`` gives them."""
+    wanted = set(indices)
+    lines = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        for index, _ in enumerate(filter(None, reader)):
+            if index in wanted:
+                lines[index] = reader.line_num
+                if len(lines) == len(wanted):
+                    break
+    return lines
 
 
 def _read_rows(path, header, slots, key_name):
     """CSV of (T_fs, key fields..., re, im) rows -> {T: values} sorted by T.
 
     Each T must carry every key of ``slots`` (joined with commas) exactly
-    once, with finite numbers; ``values`` holds them in slot order.  Raises
-    ValueError naming ``path:line``.
+    once, with finite numbers; rows may come in any order and blank rows are
+    skipped.  ``values`` is a (k,) complex row, k = len(slots), in slot
+    order; the rows are those of one (n_T, k) array.  The file is read
+    ``_READ_CHUNK`` rows at a time and checked with array operations; a
+    fault raises ValueError naming ``path:line``, for the fault first in
+    file order (a missing key: the first T in order that lacks one).
     """
-    by_t = {}   # T -> (values, line of each slot, 0 if none)
+    # per chunk: (T, slot, re, im) of well-formed rows
+    parts = [(np.empty(0), np.empty(0, dtype=np.intp), np.empty(0),
+              np.empty(0))]
+    fault = None    # what is wrong with the first malformed row
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         row = next(reader, None)
         if row != header:
             raise ValueError(f"{path}:1: unexpected header {row}")
-        for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            key = ",".join(row[1:-2])
-            try:
-                if len(row) != len(header):
-                    raise ValueError(f"expected {len(header)} "
-                                     f"fields, got {len(row)}")
-                if key not in slots:
-                    raise ValueError(f"unknown {key_name} {key!r}")
-                t, re, im = float(row[0]), float(row[-2]), float(row[-1])
-                if not (math.isfinite(t) and math.isfinite(re)
-                        and math.isfinite(im)):
-                    raise ValueError("non-finite number")
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line}: malformed row ({exc})")
-            slot = slots[key]
-            values, lines = by_t.setdefault(
-                t, (np.zeros(len(slots), dtype=complex), [0] * len(slots)))
-            if lines[slot]:
-                raise ValueError(
-                    f"{path}:{line}: duplicate row for T_fs={t:g}, "
-                    f"{key_name}={key} (first at line {lines[slot]})")
-            values[slot] = complex(re, im)
-            lines[slot] = line
-    if not by_t:
+        while fault is None:
+            block = list(islice(reader, _READ_CHUNK))
+            if not block:
+                break
+            part, fault = _parse_chunk(list(filter(None, block)),
+                                       len(header), slots, key_name)
+            parts.append(part)
+    t, slot, re, im = (np.concatenate(arrays) for arrays in zip(*parts))
+    k = len(slots)
+    times, first, t_index = np.unique(t, return_index=True,
+                                      return_inverse=True)
+    code = t_index * k + slot
+    counts = np.bincount(code, minlength=len(times) * k)
+    if len(counts) and counts.max() > 1:
+        # the first row whose (T, key) came before it
+        codes, first_of_code = np.unique(code, return_index=True)
+        repeated = np.ones(len(code), dtype=bool)
+        repeated[first_of_code] = False
+        dup = int(np.argmax(repeated))
+        earlier = int(first_of_code[np.searchsorted(codes, code[dup])])
+        lines = _data_row_lines(path, (dup, earlier))
+        key = {s: key for key, s in slots.items()}[slot[dup]]
+        raise ValueError(
+            f"{path}:{lines[dup]}: duplicate row for T_fs={float(t[dup]):g}, "
+            f"{key_name}={key} (first at line {lines[earlier]})")
+    if fault is not None:
+        # every data row before the malformed one is well formed
+        lines = _data_row_lines(path, (len(t),))
+        raise ValueError(f"{path}:{lines[len(t)]}: malformed row ({fault})")
+    if not len(t):
         raise ValueError(f"{path}: no data rows")
-    for t in sorted(by_t):
-        lines = by_t[t][1]
-        if not all(lines):
-            missing = [key for key, slot in slots.items() if not lines[slot]]
-            raise ValueError(
-                f"{path}:{min(n for n in lines if n)}: T_fs={t:g} has no row "
-                f"for {key_name} {'; '.join(missing)}")
-    return {t: by_t[t][0] for t in sorted(by_t)}
+    present = counts.reshape(len(times), k) > 0
+    incomplete = np.flatnonzero(~present.all(axis=1))
+    if incomplete.size:
+        i = int(incomplete[0])
+        missing = [key for key, s in slots.items() if not present[i, s]]
+        row = int(first[i])
+        lines = _data_row_lines(path, (row,))
+        raise ValueError(
+            f"{path}:{lines[row]}: T_fs={float(times[i]):g} has no row "
+            f"for {key_name} {'; '.join(missing)}")
+    values = np.empty((len(times), k), dtype=complex)
+    values.real[t_index, slot] = re
+    values.imag[t_index, slot] = im
+    return dict(zip(times.tolist(), values))
 
 
 def _read_signal_table(path, config):
@@ -186,16 +273,18 @@ def _read_signal_table(path, config):
     return SignalTable(t_grid=t_grid, values=np.array(list(by_t.values())))
 
 
+def _stack_tensors(tensors):
+    """ProcessTensors -> elements (n, 2, 2, 2, 2), ground rows (n, 2, 2)."""
+    return (np.array([t.elements for t in tensors]),
+            np.array([t.ground_row for t in tensors]))
+
+
 def _write_tensor_csv(path, tensors, t_grid):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_TENSOR_HEADER)
-        for t, tensor in zip(t_grid, tensors):
-            values = np.concatenate([tensor.elements.ravel(),
-                                     tensor.ground_row.ravel()])
-            for labels, val in zip(_TENSOR_ROWS, values):
-                writer.writerow([_fmt(t), *labels,
-                                 _fmt(val.real), _fmt(val.imag)])
+    elements, grounds = _stack_tensors(tensors)
+    n = len(elements)
+    _write_rows(path, _TENSOR_HEADER, t_grid, list(_TENSOR_SLOT),
+                np.concatenate([elements.reshape(n, 16),
+                                grounds.reshape(n, 4)], axis=1))
 
 
 def cmd_reconstruct(config: ExperimentConfig):
@@ -234,7 +323,7 @@ def cmd_reconstruct(config: ExperimentConfig):
                                   verbatim=config.verbatim_terms,
                                   want_tensors=True)
             tensors = result.tensors
-            diagnostics = [validate_tensor(t) for t in tensors]
+            diagnostics = validate_tensors(*_stack_tensors(tensors))
             report_lines.append(
                 f"gamma={tag}: member-wise ensemble average over "
                 f"{result.n_members} members, cond(C base)="
@@ -276,8 +365,8 @@ def cmd_validate(tensor_csv, tolerance=1e-8):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     failed = False
-    for t, tensor in tensors.items():
-        diag = validate_tensor(tensor)
+    diagnostics = validate_tensors(*_stack_tensors(tensors.values()))
+    for t, diag in zip(tensors, diagnostics):
         ok = diag.passed(herm_tol=tolerance, trace_tol=tolerance,
                          choi_tol=tolerance)
         failed = failed or not ok
@@ -299,10 +388,14 @@ def cmd_report(output_dir):
     except json.JSONDecodeError as exc:
         print(f"error: {path}: invalid JSON ({exc})", file=sys.stderr)
         return EXIT_IO
-    cfg = manifest.get("config", {})
+    cfg = manifest.get("config", {}) if isinstance(manifest, dict) else None
+    grid = cfg.get("t_grid", []) if isinstance(cfg, dict) else None
+    if not isinstance(grid, list):
+        print(f"error: {path}: not a run manifest (expected an object whose "
+              f"'config' object holds a 't_grid' list)", file=sys.stderr)
+        return EXIT_IO
     print(f"run manifest: {path}")
     print(f"versions: {manifest.get('versions', {})}")
-    grid = cfg.get("t_grid", [])
     print(f"waiting-time grid: {len(grid)} points "
           f"[{grid[0] if grid else '-'} .. {grid[-1] if grid else '-'}] fs")
     print(f"gamma values: {cfg.get('gamma_list')}")

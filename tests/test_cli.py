@@ -1,11 +1,19 @@
+import csv
+import io
 import json
 import os
+import random
+import shutil
+import tempfile
 from dataclasses import replace
+from unittest import mock
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
 from dimerqpt.bath import build_redfield_generator, propagate_process_tensor
+from dimerqpt import cli
 from dimerqpt.cli import _parse_tensor_csv, main
 from dimerqpt.config import (config_from_dict, config_to_dict, default_config,
                              load_config, save_config)
@@ -285,3 +293,211 @@ def test_tensor_file_ground_only_time(config_path, small_config, capsys):
 def test_tensor_file_header_only(config_path, small_config, capsys):
     _tensor_file_error(config_path, small_config, capsys,
                        lambda lines: lines[:1])
+
+
+@pytest.mark.parametrize("manifest", ["[]", '{"config": []}',
+                                      '{"config": {"t_grid": 5}}'])
+def test_report_rejects_misshapen_manifest(tmp_path, capsys, manifest):
+    (tmp_path / "run_manifest.json").write_text(manifest)
+    assert main(["report", "--output-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert str(tmp_path / "run_manifest.json") in err
+    assert "Traceback" not in err
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                   1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308,
+                   0.1, 1 / 3]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data(), schema=st.sampled_from(["signals", "tensors"]),
+       n=st.integers(1, 4))
+def test_write_rows_matches_csv_writer(data, schema, n):
+    """_write_rows gives the bytes of csv.writer over f"{x:.17g}" fields."""
+    if schema == "signals":
+        header, labels = cli._SIGNAL_HEADER, cli.OMEGA_LABELS
+    else:
+        header, labels = cli._TENSOR_HEADER, list(cli._TENSOR_SLOT)
+    number = st.one_of(st.sampled_from(_SPECIAL_FLOATS),
+                       st.floats(allow_nan=False, allow_infinity=False))
+    t_grid = data.draw(st.lists(
+        st.one_of(st.integers(0, 10**6), st.integers(0, 10**6).map(float),
+                  st.floats(0, 1e4)), min_size=n, max_size=n))
+    parts = data.draw(st.lists(number, min_size=2 * n * len(labels),
+                               max_size=2 * n * len(labels)))
+    parts = np.array(parts).reshape(2, n, len(labels))
+    values = np.empty((n, len(labels)), dtype=complex)
+    values.real, values.imag = parts    # keeps the sign of zero parts
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rows.csv")
+        cli._write_rows(path, header, t_grid, labels, values)
+        with open(path, "rb") as fh:
+            written = fh.read()
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(header)
+    for k, t in enumerate(t_grid):
+        for j, label in enumerate(labels):
+            writer.writerow([f"{t:.17g}", *label.split(","),
+                             f"{values[k, j].real:.17g}",
+                             f"{values[k, j].imag:.17g}"])
+    assert written == expected.getvalue().encode()
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """A small homogeneous run: its configuration, signal and tensor files."""
+    root = tmp_path_factory.mktemp("valid")
+    cfg = replace(default_config(output_dir=str(root / "out")),
+                  homogeneous_only=True, t_grid=(120.0, 200.0, 400.0),
+                  gamma_list=(0.0, 2.0))
+    path = str(root / "cfg.json")
+    save_config(cfg, path)
+    assert main(["simulate", "--config", path]) == 0
+    assert main(["reconstruct", "--config", path]) == 0
+    files = {}
+    for stem in ("signals", "tensors"):
+        with open(os.path.join(cfg.output_dir, f"{stem}_gamma2.csv"),
+                  newline="") as fh:
+            files[stem] = fh.read().split("\r\n")[:-1]
+    return cfg, files
+
+
+def _mutate(kind, lines, rng, blanks):
+    """One mutation of a CSV (a list of lines without terminators).
+
+    Returns the new lines, the line number the reader must name (None for
+    a benign mutation) and a fragment of its message.  For a fault,
+    ``blanks`` blank lines go right after the header, ahead of it.  Data
+    row i of the returned lines is on line i + 2.
+    """
+    header, rows = lines[0], lines[1:]
+    width = header.count(",") + 1
+    r = rng.randrange(len(rows))
+    fields = rows[r].split(",")
+    if kind == "blank lines":
+        for _ in range(blanks + 1):
+            rows.insert(rng.randrange(len(rows) + 1), "")
+        return [header] + rows, None, None
+    if kind == "shuffle":
+        rng.shuffle(rows)
+        return [header] + rows, None, None
+    rows = [""] * blanks + rows
+    r += blanks
+    if kind == "delete":
+        del rows[r]
+        t = float(fields[0])
+        first = next(i for i, row in enumerate(rows)
+                     if row and float(row.split(",")[0]) == t)
+        return [header] + rows, first + 2, "has no row for"
+    if kind == "duplicate":
+        fields[-2] = repr(float(fields[-2]) + 1.0)
+        at = rng.randrange(blanks, len(rows) + 1)
+        rows.insert(at, ",".join(fields))
+        pair = sorted((at, r + (at <= r)))
+        return ([header] + rows, pair[1] + 2,
+                f"={','.join(fields[1:-2])} (first at line {pair[0] + 2})")
+    if kind == "unknown label":
+        fields[1] = "zz"
+        message = "unknown"
+    elif kind == "unparsable":
+        fields[rng.choice([0, -2, -1])] = "1.5x"
+        message = "could not convert string to float: '1.5x'"
+    elif kind == "non-finite":
+        fields[rng.choice([0, -2, -1])] = rng.choice(["nan", "inf", "-inf"])
+        message = "non-finite number"
+    elif kind == "extra field":
+        fields.append("0")
+        message = f"expected {width} fields, got {width + 1}"
+    else:   # "dropped field"
+        del fields[rng.randrange(len(fields))]
+        message = f"expected {width} fields, got {width - 1}"
+    rows[r] = ",".join(fields)
+    return [header] + rows, r + 2, message
+
+
+_MUTATIONS = ["blank lines", "shuffle", "delete", "duplicate",
+              "unknown label", "unparsable", "non-finite", "extra field",
+              "dropped field"]
+
+
+@pytest.mark.parametrize("stem", ["signals", "tensors"])
+@pytest.mark.parametrize("kind", _MUTATIONS)
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), blanks=st.integers(0, 3),
+       chunk=st.sampled_from([1, 7, cli._READ_CHUNK]))
+def test_reader_fuzz(valid_files, stem, kind, seed, blanks, chunk):
+    """A benign edit parses to the same arrays; any other edit makes
+    reconstruct or validate exit 3 naming path:line, without a traceback."""
+    cfg, files = valid_files
+    lines, fault_line, message = _mutate(kind, list(files[stem]),
+                                         random.Random(seed), blanks)
+    schema = {"signals": (cli._SIGNAL_HEADER, cli._OMEGA_COLUMN,
+                          "omega_tuple"),
+              "tensors": (cli._TENSOR_HEADER, cli._TENSOR_SLOT,
+                          "n,m,nu,mu")}[stem]
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli, "_READ_CHUNK", chunk):
+        path = os.path.join(tmp, f"{stem}_gamma2.csv")
+        with open(path, "w", newline="") as fh:
+            fh.write("\r\n".join(lines) + "\r\n")
+        if fault_line is None:
+            original = os.path.join(cfg.output_dir, f"{stem}_gamma2.csv")
+            expected = cli._read_rows(original, *schema)
+            parsed = cli._read_rows(path, *schema)
+            assert list(parsed) == list(expected)
+            for a, b in zip(parsed.values(), expected.values()):
+                assert np.array_equal(a, b)
+            return
+        if stem == "signals":
+            shutil.copy(os.path.join(cfg.output_dir, "signals_gamma0.csv"),
+                        tmp)
+            config_path = os.path.join(tmp, "cfg.json")
+            save_config(replace(cfg, output_dir=tmp), config_path)
+            argv = ["reconstruct", "--config", config_path]
+        else:
+            argv = ["validate", path]
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch("sys.stdout", out), mock.patch("sys.stderr", err):
+            assert main(argv) == 3
+        err = err.getvalue()
+    assert f"{path}:{fault_line}:" in err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_reader_reports_first_fault_in_file_order(valid_files, tmp_path):
+    """With several faults, the one first in file order is named, and in a
+    row the checks run field count, key, T, re, im, finiteness."""
+    _, files = valid_files
+    header, rows = files["signals"][0], files["signals"][1:]
+    copy = rows[0].split(",")
+    copy[-1] = "7"
+    cases = [
+        # a duplicate ahead of a malformed row
+        (rows[:3] + [",".join(copy)] + rows[3:10] + ["bad"] + rows[10:],
+         "5: duplicate row", "(first at line 2)"),
+        # a malformed row ahead of a duplicate
+        (rows[:3] + ["bad"] + rows[3:10] + [",".join(copy)] + rows[10:],
+         "5: malformed row (expected 4 fields, got 1)", ""),
+        # two duplicates: the earlier one is named
+        (rows[:4] + rows[1:2] + rows[4:] + rows[3:4],
+         "6: duplicate row", "(first at line 3)"),
+        # T and re both unparsable: T is named
+        (rows[:2] + ["x,++++,y,0"] + rows[2:], "4: malformed row (could not "
+         "convert string to float: 'x')", ""),
+        (rows[:2] + ["120,++++,y,z"] + rows[2:], "4: malformed row (could "
+         "not convert string to float: 'y')", ""),
+        (rows[:2] + ["120,bad,y,z"] + rows[2:],
+         "4: malformed row (unknown omega_tuple 'bad')", ""),
+    ]
+    path = str(tmp_path / "signals.csv")
+    for body, where, first in cases:
+        with open(path, "w", newline="") as fh:
+            fh.write("\r\n".join([header] + body) + "\r\n")
+        with pytest.raises(ValueError) as info:
+            cli._read_rows(path, cli._SIGNAL_HEADER, cli._OMEGA_COLUMN,
+                           "omega_tuple")
+        assert f"{path}:{where}" in str(info.value)
+        assert first in str(info.value)

@@ -7,11 +7,11 @@ from dimerqpt.bath import (ProcessTensor, build_redfield_generator,
 from dimerqpt.isoaverage import build_m_blocks
 from dimerqpt.model import build_exciton_basis
 from dimerqpt.pulses import build_c_matrix
-from dimerqpt.reconstruct import (choi_matrix, invert_signals,
+from dimerqpt.reconstruct import (_CHOI_CHUNK, choi_matrix, invert_signals,
                                   min_choi_eigenvalue, reconstruct,
                                   reconstruct_rows, reconstruct_single,
-                                  tensor_distance,
-                                  validate_tensor)
+                                  tensor_distance, validate_tensor,
+                                  validate_tensors)
 from dimerqpt.response import SignalTable, iso_pathway_vector
 
 
@@ -73,6 +73,24 @@ def test_choi_of_identity_is_positive():
     assert c.shape == (9, 9)
     # the three preserved diagonal routes g->g, e->e, ep->ep
     assert np.trace(c).real == pytest.approx(3.0, abs=1e-12)
+
+
+def test_choi_matrix_entries(rng):
+    """Entry [(nu, n), (mu, m)] is chi[n, m, nu, mu] on {g, e, ep}, with g
+    kept and the optical-coherence blocks zero."""
+    tensor = random_lindblad_tensor(rng)
+    chi = np.zeros((3, 3, 3, 3), dtype=complex)
+    chi[0, 0, 0, 0] = 1.0
+    for nu in (1, 2):
+        for mu in (1, 2):
+            chi[0, 0, nu, mu] = tensor.ground_row[nu - 1, mu - 1]
+            for n in (1, 2):
+                for m in (1, 2):
+                    chi[n, m, nu, mu] = tensor.elements[n - 1, m - 1,
+                                                        nu - 1, mu - 1]
+    c = choi_matrix(tensor)
+    for nu, n, mu, m in np.ndindex(3, 3, 3, 3):
+        assert c[3 * nu + n, 3 * mu + m] == chi[n, m, nu, mu]
 
 
 def test_choi_flags_nonpositive_map():
@@ -175,3 +193,47 @@ def test_validate_tensor_diagnostics(gen):
     broken[0, 1, 0, 0] += 1e-3
     bad = ProcessTensor(waiting_time=500.0, elements=broken)
     assert not validate_tensor(bad).passed()
+
+
+def _diagnostic_table(diagnostics):
+    return np.array([[d.hermiticity_defect, d.trace_defect, d.min_choi_eig,
+                      d.choi_hermiticity_defect] for d in diagnostics])
+
+
+@pytest.mark.parametrize("n", [1, 2 * _CHOI_CHUNK + 5])
+def test_validate_tensors_matches_per_tensor_reference(rng, n):
+    """Stacked diagnostics equal, bit for bit, the figures computed one
+    tensor at a time from choi_matrix and eigvalsh, for physical,
+    non-Hermitian and non-CP tensors."""
+    swap = np.zeros((2, 2, 2, 2), dtype=complex)
+    for a in (0, 1):
+        for b in (0, 1):
+            swap[a, b, b, a] = 1.0
+    tensors = []
+    for k in range(n):
+        tensor = random_lindblad_tensor(rng, waiting_time=rng.uniform(0.1, 3))
+        elements, ground = tensor.elements.copy(), tensor.ground_row.copy()
+        if k % 3 == 1:      # not Hermitian
+            elements[0, 1, 0, 0] += rng.normal() * 1e-3
+        elif k % 3 == 2:    # Hermitian and trace closed, not CP
+            elements = 0.5 * elements + 0.5 * swap
+            ground = 0.5 * ground
+        tensors.append(ProcessTensor(waiting_time=float(k), elements=elements,
+                                     ground_row=ground))
+    reference = []
+    for tensor in tensors:
+        c = choi_matrix(tensor)
+        reference.append([
+            tensor.hermiticity_defect(), tensor.trace_defect(),
+            np.min(np.linalg.eigvalsh(0.5 * (c + c.conj().T))),
+            np.max(np.abs(c - c.conj().T))])
+    stacked = validate_tensors(np.array([t.elements for t in tensors]),
+                               np.array([t.ground_row for t in tensors]))
+    assert len(stacked) == n
+    assert np.array_equal(_diagnostic_table(stacked), np.array(reference))
+    assert np.array_equal(_diagnostic_table(stacked),
+                          _diagnostic_table(map(validate_tensor, tensors)))
+    if n > 1:
+        flags = [d.passed() for d in stacked]
+        assert flags[0::3] == [True] * len(flags[0::3])
+        assert not any(flags[1::3]) and not any(flags[2::3])
