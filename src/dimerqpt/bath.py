@@ -51,11 +51,43 @@ def spectral_density(omega, bath: BathParams):
 
 
 def bose_occupation(omega, bath: BathParams):
-    """Mean thermal occupation of a mode at omega (cm^-1)."""
+    """Mean thermal occupation of a mode at omega (cm^-1), scalar or array."""
     if bath.temperature == 0:
         return 0.0
-    x = omega / thermal_energy(bath.temperature)
-    return 1.0 / math.expm1(x)
+    x = np.asarray(omega) / thermal_energy(bath.temperature)
+    with np.errstate(over="ignore"):    # a mode far above kT: occupation 0
+        return 1.0 / np.expm1(x)
+
+
+def _pure_dephasing(bath: BathParams):
+    """Pure-dephasing rate (fs^-1): the omega -> 0 limit of
+    2 pi J(w) nbar(w), which is 2 pi * lambda kT / omega_c."""
+    return 2.0 * math.pi * to_angular(
+        bath.reorganization_energy * thermal_energy(bath.temperature)
+        / bath.cutoff_freq)
+
+
+def secular_rates(theta, gap, bath: BathParams):
+    """(k_down, k_up, Gamma_e,ep) in fs^-1 for mixing angles ``theta`` and
+    exciton splittings ``gap`` (cm^-1): one dimer's scalars or arrays.
+
+    Downhill transfer e -> ep goes as sin^2(2 theta)/2 times the one-sided
+    bath correlation rate at the exciton splitting (both site baths
+    contribute); the uphill rate follows from detailed balance.  The e-ep
+    coherence decays at half the total transfer rate plus pure dephasing
+    projected with cos^2(2 theta).
+    """
+    jn = spectral_density(gap, bath)
+    nbar = bose_occupation(gap, bath)
+    # one-sided correlation rate, converted to fs^-1
+    gamma_down = 2.0 * math.pi * to_angular(jn) * (nbar + 1.0)
+    gamma_up = 2.0 * math.pi * to_angular(jn) * nbar
+    s2 = np.sin(2.0 * theta) ** 2
+    k_down = 0.5 * s2 * gamma_down  # e -> ep
+    k_up = 0.5 * s2 * gamma_up      # ep -> e
+    # diagonal-coupling differences per site bath, squared and summed over baths
+    pd_exciton = _pure_dephasing(bath) * np.cos(2.0 * theta) ** 2
+    return k_down, k_up, 0.5 * (k_down + k_up) + pd_exciton
 
 
 @dataclass(frozen=True)
@@ -88,43 +120,27 @@ def build_redfield_generator(basis: ExcitonBasis, bath: BathParams,
                              ) -> RedfieldGenerator:
     """Assemble secular rates from the spectral density and mixing angle.
 
-    Downhill transfer e -> ep goes as sin^2(2 theta)/2 times the one-sided
-    bath correlation rate at the exciton splitting (both site baths
-    contribute); the uphill rate follows from detailed balance.  Pure
-    dephasing uses the finite omega -> 0 limit of the Ohmic density times
-    the thermal occupation, projected with the appropriate powers of the
-    mixing angle.  ``dephasing_overrides`` replaces individual Gamma_ij.
+    Population transfer and the e-ep coherence come from ``secular_rates``.
+    Optical coherences decay at half the transfer rate out of their exciton
+    plus the finite omega -> 0 limit of the Ohmic density times the thermal
+    occupation, projected with the appropriate powers of the mixing angle.
+    ``dephasing_overrides`` replaces individual Gamma_ij.
     """
     theta = basis.mixing_angle_theta
     gap = basis.splitting()  # cm^-1, > 0
 
-    jn = spectral_density(gap, bath)
-    nbar = bose_occupation(gap, bath)
-    # one-sided correlation rate, converted to fs^-1
-    gamma_down = 2.0 * math.pi * to_angular(jn) * (nbar + 1.0)
-    gamma_up = 2.0 * math.pi * to_angular(jn) * nbar
-    s2 = math.sin(2.0 * theta) ** 2
-    k_down = 0.5 * s2 * gamma_down  # e -> ep
-    k_up = 0.5 * s2 * gamma_up      # ep -> e
-
+    k_down, k_up, dephasing_eep = secular_rates(theta, gap, bath)
     if k_down < 0 or k_up < 0:
         raise RuntimeError("negative population rate: inconsistent bath input")
 
     rates = np.array([[-k_down, k_up],
                       [k_down, -k_up]])
 
-    # omega -> 0 limit of 2 pi J(w) nbar(w): 2 pi * lambda kT / omega_c
-    gamma0 = 2.0 * math.pi * to_angular(
-        bath.reorganization_energy * thermal_energy(bath.temperature)
-        / bath.cutoff_freq)
-
     c2, s2sq = math.cos(theta) ** 2, math.sin(theta) ** 2
-    # diagonal-coupling differences per site bath, squared and summed over baths
-    pd_exciton = gamma0 * math.cos(2.0 * theta) ** 2
-    pd_optical = 0.5 * gamma0 * (c2 ** 2 + s2sq ** 2)
+    pd_optical = 0.5 * _pure_dephasing(bath) * (c2 ** 2 + s2sq ** 2)
 
     dephasing = {
-        ("e", "ep"): 0.5 * (k_down + k_up) + pd_exciton,
+        ("e", "ep"): dephasing_eep,
         ("e", "g"): 0.5 * k_down + pd_optical,
         ("ep", "g"): 0.5 * k_up + pd_optical,
         # f couples to both baths with full weight, so the same projection
@@ -206,37 +222,55 @@ def closure_ground_row(elements):
             - elements[..., EP, EP, :, :])
 
 
-def propagate_process_tensor(gen: RedfieldGenerator, waiting_time: float
-                             ) -> ProcessTensor:
-    """Exact secular propagator over the waiting time.
+def secular_dynamics(k_down, k_up, freq, rate, waiting_times):
+    """Exact secular propagation over the waiting times (n,).
 
-    Populations evolve under the 2x2 rate matrix (closed-form exponential
-    through its eigenstructure), coherences as damped phases; cross blocks
-    vanish in the secular approximation.
+    ``k_down``, ``k_up`` (fs^-1) are the transfer rates e -> ep and
+    ep -> e, ``freq`` (rad/fs) and ``rate`` (fs^-1) the frequency and
+    dephasing rate of the e-ep coherence: one dimer's scalars or arrays of
+    shape (...).  Populations evolve under the 2x2 rate matrix (closed-form
+    exponential through its eigenstructure), the coherence as a damped
+    phase; cross blocks vanish in the secular approximation.  Returns the
+    population map (..., n, 2, 2), entry [n, nu] taking p_nu to p_n, and
+    the coherence phase (..., n).
     """
-    if waiting_time < 0:
+    t = np.asarray(waiting_times, dtype=float)
+    if np.any(t < 0):
         raise ValueError("waiting_time must be >= 0")
-    t = waiting_time
-    k_down = gen.rate_e_to_ep
-    k_up = gen.rate_ep_to_e
+    k_down, k_up, freq, rate = (np.asarray(a, dtype=float)[..., None]
+                                for a in (k_down, k_up, freq, rate))
     ktot = k_down + k_up
+    # without transfer p_inf is zero and the decay factor one: populations
+    # stay where they are
+    p_inf = (np.stack([np.stack([k_up, k_up], axis=-1),
+                       np.stack([k_down, k_down], axis=-1)], axis=-2)
+             / np.where(ktot == 0.0, 1.0, ktot)[..., None, None])
+    decay = np.exp(-ktot * t)[..., None, None]
+    pop = p_inf + decay * (np.eye(2) - p_inf)
+    phase = np.exp((-1j * freq - rate) * t)
+    return pop, phase
 
-    elems = np.zeros((2, 2, 2, 2), dtype=complex)
-    if ktot == 0.0:
-        pop = np.eye(2)
-    else:
-        p_inf = np.array([[k_up, k_up], [k_down, k_down]]) / ktot
-        pop = p_inf + math.exp(-ktot * t) * (np.eye(2) - p_inf)
+
+def propagator_elements(gen: RedfieldGenerator, waiting_times):
+    """Elements (n, 2, 2, 2, 2) of the exact secular propagator at the
+    waiting times (n,); see ``secular_dynamics``."""
+    pop, phase = secular_dynamics(
+        gen.rate_e_to_ep, gen.rate_ep_to_e, gen.coherence_freqs[("e", "ep")],
+        gen.dephasing_rates[("e", "ep")], waiting_times)
+    elems = np.zeros(phase.shape + (2, 2, 2, 2), dtype=complex)
     for n in (E, EP):
         for nu in (E, EP):
-            elems[n, n, nu, nu] = pop[n, nu]
+            elems[..., n, n, nu, nu] = pop[..., n, nu]
+    elems[..., E, EP, E, EP] = phase
+    elems[..., EP, E, EP, E] = np.conj(phase)
+    return elems
 
-    phase = np.exp((-1j * gen.coherence_freqs[("e", "ep")]
-                    - gen.dephasing_rates[("e", "ep")]) * t)
-    elems[E, EP, E, EP] = phase
-    elems[EP, E, EP, E] = np.conj(phase)
 
-    return ProcessTensor(waiting_time=t, elements=elems)
+def propagate_process_tensor(gen: RedfieldGenerator, waiting_time: float
+                             ) -> ProcessTensor:
+    """Exact secular propagator over one waiting time."""
+    return ProcessTensor(waiting_time=waiting_time,
+                         elements=propagator_elements(gen, [waiting_time])[0])
 
 
 def optical_coherence_propagator(i, j, duration, gen: RedfieldGenerator):

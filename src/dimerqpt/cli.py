@@ -17,15 +17,15 @@ import sys
 import numpy as np
 
 from .bath import (ProcessTensor, build_redfield_generator,
-                   propagate_process_tensor)
+                   closure_ground_row, propagator_elements)
 from .config import (ExperimentConfig, config_to_dict, default_config,
                      load_config)
-from .ensemble import run_ensemble, sample_members
+from .ensemble import evaluate_ensemble, sample_members
 from .errors import ConfigError, DimerQptError
 from .isoaverage import build_m_blocks
 from .model import build_exciton_basis
 from .pulses import build_c_matrix
-from .reconstruct import reconstruct, validate_tensors
+from .reconstruct import reconstruct_rows, validate_tensors
 from .response import OMEGA_LABELS, PATHWAY_LABELS, SignalTable
 
 EXIT_OK = 0
@@ -45,6 +45,9 @@ _TENSOR_ROWS = (list(product(_STATE_NAMES, repeat=4))
 _TENSOR_SLOT = {",".join(key): slot for slot, key in enumerate(_TENSOR_ROWS)}
 _ROW_FORMAT = "%s,%s,%.17g,%.17g\r\n"
 _READ_CHUNK = 512   # CSV rows tokenized and parsed per step
+# a byte that is not valid text becomes a lone surrogate in its field, which
+# then fails to parse; messages show it escaped, as repr does
+_DECODE_ERRORS = "surrogateescape"
 
 
 def _gamma_tag(gamma):
@@ -85,17 +88,20 @@ def _apply_noise(values, noise, seed, index):
     return values + noise * scale * (re + 1j * im)
 
 
+def _members(config):
+    if config.homogeneous_only:
+        return [config.dimer]
+    return sample_members(config.dimer, config.ensemble)
+
+
 def cmd_simulate(config: ExperimentConfig):
     os.makedirs(config.output_dir, exist_ok=True)
-    if config.homogeneous_only:
-        members = [config.dimer]
-    else:
-        members = sample_members(config.dimer, config.ensemble)
-    for gidx, gamma in enumerate(config.gamma_list):
-        members_g = [replace(m, quantum_yield_gamma=gamma) for m in members]
-        result = run_ensemble(members_g, config.bath, config.toolbox,
-                              config.t_grid, verbatim=config.verbatim_terms,
-                              want_tensors=False)
+    results = evaluate_ensemble(_members(config), config.bath,
+                                config.toolbox, config.t_grid,
+                                config.gamma_list,
+                                verbatim=config.verbatim_terms,
+                                want_tensors=False)
+    for gidx, (gamma, result) in enumerate(zip(config.gamma_list, results)):
         signals = result.signal_table.values
         if config.noise:
             signals = _apply_noise(signals, config.noise,
@@ -183,7 +189,7 @@ def _data_row_lines(path, indices):
     rows not counted), as ``csv.reader.line_num`` gives them."""
     wanted = set(indices)
     lines = {}
-    with open(path, newline="") as fh:
+    with open(path, newline="", errors=_DECODE_ERRORS) as fh:
         reader = csv.reader(fh)
         next(reader, None)
         for index, _ in enumerate(filter(None, reader)):
@@ -192,6 +198,16 @@ def _data_row_lines(path, indices):
                 if len(lines) == len(wanted):
                     break
     return lines
+
+
+def _tokenized(reader, unreadable):
+    """The rows of ``reader`` up to the first one the csv module cannot
+    tokenize, such as a field over ``csv.field_size_limit``; that row ends
+    the iteration, and its line and the error go to ``unreadable``."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        unreadable.append((reader.line_num, str(exc)))
 
 
 def _read_rows(path, header, slots, key_name):
@@ -203,19 +219,22 @@ def _read_rows(path, header, slots, key_name):
     order; the rows are those of one (n_T, k) array.  The file is read
     ``_READ_CHUNK`` rows at a time and checked with array operations; a
     fault raises ValueError naming ``path:line``, for the fault first in
-    file order (a missing key: the first T in order that lacks one).
+    file order (a missing key: the first T in order that lacks one).  Bytes
+    that are not valid text make their row malformed.
     """
     # per chunk: (T, slot, re, im) of well-formed rows
     parts = [(np.empty(0), np.empty(0, dtype=np.intp), np.empty(0),
               np.empty(0))]
     fault = None    # what is wrong with the first malformed row
-    with open(path, newline="") as fh:
+    unreadable = []     # (line, error) of a row the csv module rejects
+    with open(path, newline="", errors=_DECODE_ERRORS) as fh:
         reader = csv.reader(fh)
-        row = next(reader, None)
+        rows = _tokenized(reader, unreadable)
+        row = next(rows, None)
         if row != header:
             raise ValueError(f"{path}:1: unexpected header {row}")
         while fault is None:
-            block = list(islice(reader, _READ_CHUNK))
+            block = list(islice(rows, _READ_CHUNK))
             if not block:
                 break
             part, fault = _parse_chunk(list(filter(None, block)),
@@ -243,6 +262,9 @@ def _read_rows(path, header, slots, key_name):
         # every data row before the malformed one is well formed
         lines = _data_row_lines(path, (len(t),))
         raise ValueError(f"{path}:{lines[len(t)]}: malformed row ({fault})")
+    if unreadable:
+        line, error = unreadable[0]
+        raise ValueError(f"{path}:{line}: malformed row ({error})")
     if not len(t):
         raise ValueError(f"{path}: no data rows")
     present = counts.reshape(len(times), k) > 0
@@ -279,8 +301,7 @@ def _stack_tensors(tensors):
             np.array([t.ground_row for t in tensors]))
 
 
-def _write_tensor_csv(path, tensors, t_grid):
-    elements, grounds = _stack_tensors(tensors)
+def _write_tensor_csv(path, elements, grounds, t_grid):
     n = len(elements)
     _write_rows(path, _TENSOR_HEADER, t_grid, list(_TENSOR_SLOT),
                 np.concatenate([elements.reshape(n, 16),
@@ -292,8 +313,15 @@ def cmd_reconstruct(config: ExperimentConfig):
     cmat = build_c_matrix(basis, config.toolbox)
     if config.homogeneous_only:
         gen = build_redfield_generator(basis, config.bath)
+        truth = propagator_elements(gen, config.t_grid)
+        truth_grounds = closure_ground_row(truth)
     else:
-        members = sample_members(config.dimer, config.ensemble)
+        # member-wise: every member inverted with its own C and M
+        results = evaluate_ensemble(_members(config), config.bath,
+                                    config.toolbox, config.t_grid,
+                                    config.gamma_list,
+                                    verbatim=config.verbatim_terms,
+                                    want_tensors=True)
     report_lines = []
     failed = False
     for gamma in config.gamma_list:
@@ -307,27 +335,22 @@ def cmd_reconstruct(config: ExperimentConfig):
                 return EXIT_IO
             blocks = build_m_blocks(basis, gamma,
                                     verbatim=config.verbatim_terms)
-            truth = [propagate_process_tensor(gen, t) for t in table.t_grid]
-            rep = reconstruct(table, cmat, blocks, reference=truth)
-            tensors = rep.tensors
-            max_err = rep.max_reference_error()
+            elements, grounds, _ = reconstruct_rows(table.values, cmat,
+                                                    blocks)
+            max_err = max(np.max(np.abs(elements - truth)),
+                          np.max(np.abs(grounds - truth_grounds)))
             report_lines.append(
-                f"gamma={tag}: cond(C)={rep.c_condition:.6g} "
-                f"cond(M)={rep.m_conditions} max_residual={max_err:.3e}")
-            diagnostics = rep.diagnostics
+                f"gamma={tag}: cond(C)={cmat.condition_number:.6g} "
+                f"cond(M)={blocks.condition_numbers} "
+                f"max_residual={max_err:.3e}")
         else:
-            members_g = [replace(m, quantum_yield_gamma=gamma)
-                         for m in members]
-            result = run_ensemble(members_g, config.bath, config.toolbox,
-                                  config.t_grid,
-                                  verbatim=config.verbatim_terms,
-                                  want_tensors=True)
-            tensors = result.tensors
-            diagnostics = validate_tensors(*_stack_tensors(tensors))
+            result = next(results)
+            elements, grounds = result.elements, result.grounds
             report_lines.append(
                 f"gamma={tag}: member-wise ensemble average over "
                 f"{result.n_members} members, cond(C base)="
                 f"{cmat.base_condition_number:.6g}")
+        diagnostics = validate_tensors(elements, grounds)
         for t, diag in zip(config.t_grid, diagnostics):
             report_lines.append(
                 f"gamma={tag} T={t:g}: herm={diag.hermiticity_defect:.3e} "
@@ -337,7 +360,7 @@ def cmd_reconstruct(config: ExperimentConfig):
                 failed = True
         _write_tensor_csv(
             os.path.join(config.output_dir, f"tensors_gamma{tag}.csv"),
-            tensors, config.t_grid)
+            elements, grounds, config.t_grid)
     with open(os.path.join(config.output_dir, "reconstruction_report.txt"),
               "w") as fh:
         fh.write("\n".join(report_lines) + "\n")

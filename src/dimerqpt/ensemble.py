@@ -1,25 +1,51 @@
-"""Inhomogeneous ensemble: sampling, synthesis, averaging.
+"""Inhomogeneous ensemble: sampling and the array engine.
 
 Static diagonal disorder scatters the two site energies independently with
 a common Gaussian width; coupling, dipoles and quantum yield are shared.
-Each member gets its own exciton basis, rates, pulse-coefficient matrix and
-geometry blocks (the mixing angle shifts with the disorder).  Members are
-evaluated one after another and summed in member order, so results are
-bit-identical for a given seed.  Ensemble reconstruction averages
-member-wise reconstructed tensors, a convex mixture of physical maps.
+Each member has its own exciton basis, rates, pulse-coefficient matrix and
+geometry blocks (the mixing angle shifts with the disorder).
+
+``evaluate_ensemble`` computes all of them as arrays over members, ``_CHUNK``
+members at a time.  Once per chunk: the closed-form basis, the 4x4 dipole
+Gram matrix and the 32 isotropic dipole factors made from it, the secular
+propagator over the waiting-time grid, and the 2x2 pulse generator and its
+inverse.  Per Gamma: the geometry map ``table @ (S0 + Gamma dS)`` (with the
+fixed structure of ``isoaverage.pathway_structure``), its checks, the
+forward map through C = base^(x)4 and, for tensors, the inversion through
+C^-1 = (base^-1)^(x)4 and the three block solves.  Every step acts on each
+member alone (elementwise, or one BLAS/LAPACK call per member), so a
+member's arrays do not depend on the members evaluated with it, and the
+means sum members in order: runs are bit-identical for a given member list.
+Ensemble reconstruction averages member-wise reconstructed tensors, a convex
+mixture of physical maps.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bath import (BathParams, ProcessTensor, build_redfield_generator,
-                   propagate_process_tensor)
-from .isoaverage import build_m_blocks, tensor_to_params
-from .model import DimerParams, build_exciton_basis
-from .pulses import PulseToolbox, build_c_matrix
-from .reconstruct import reconstruct_rows
-from .response import SignalTable
+from .bath import (BathParams, ProcessTensor, closure_ground_row,
+                   secular_dynamics, secular_rates)
+from .errors import DegenerateDimerError
+from .isoaverage import (geometry_blocks, params_to_elements,
+                         pathway_structure, solve_chi_blocks)
+from .model import DIPOLE_LABELS, DimerParams, diagonalize, dipole_vectors
+from .pulses import (PulseToolbox, check_generators, kron_power4,
+                     pulse_coefficient)
+from .response import DIPOLE_TUPLES, SignalTable
+from .units import to_angular
+
+# members per array pass: bounds the (members, 16, T) temporaries (one is
+# 7.9 MB at 1024 members and 30 waiting times)
+_CHUNK = 1024
+
+# real tensor parameters a secular propagator can make nonzero: the four
+# populations, then Re and Im of the e-ep coherence
+_SECULAR_PARAMS = [0, 1, 4, 5, 10, 14]
+
+# dipole indices (a, b, c, d) of each isotropic factor, DIPOLE_TUPLES order
+_FACTOR_INDEX = np.array([[DIPOLE_LABELS.index(label) for label in labels]
+                          for labels in DIPOLE_TUPLES]).T
 
 
 @dataclass(frozen=True)
@@ -56,6 +82,159 @@ def sample_members(base: DimerParams, spec: EnsembleSpec):
     return members
 
 
+@dataclass(frozen=True)
+class _Chunk:
+    """Gamma-independent arrays of the members start .. start + n - 1."""
+
+    start: int
+    table: np.ndarray       # (n, 32) isotropic dipole factors
+    base: np.ndarray        # (n, 2, 2) single-pulse coefficients c[w, p]
+    base_inv: np.ndarray    # (n, 2, 2)
+    params: np.ndarray      # (n, 6, T) propagator, _SECULAR_PARAMS order
+
+
+def _raise_first(bad, error, message, start):
+    """Raise ``error`` naming the first member flagged in ``bad``."""
+    members = np.flatnonzero(bad)
+    if members.size:
+        raise error(f"member {start + int(members[0])}: {message}")
+
+
+def _prepare(members, start, bath, toolbox, waiting_times):
+    """The Gamma-independent arrays of members[start:start + n]."""
+    e1, e2, j, d1, d2, phi = np.array(
+        [(m.site_energy_1, m.site_energy_2, m.coupling_j, m.dipole_d1,
+          m.dipole_d2, m.dipole_angle_phi) for m in members]).T
+    avg, delta, theta, split = diagonalize(e1, e2, j)
+    _raise_first((delta == 0.0) & (j == 0.0), DegenerateDimerError,
+                 "degenerate dimer: cannot build exciton basis", start)
+    energies = np.stack([avg + split, avg - split], axis=-1)   # e, ep
+    mu = dipole_vectors(theta, d1, d2, phi)                    # (n, 4, 3)
+    _raise_first(np.linalg.norm(mu[:, 0], axis=-1) == 0.0,
+                 DegenerateDimerError,
+                 "mu_eg vanishes: angle reference undefined", start)
+    gram = (mu[:, :, None, :] * mu[:, None, :, :]).sum(axis=-1)
+    a, b, c, d = _FACTOR_INDEX
+    # collinear isotropic average <(a.z)(b.z)(c.z)(d.z)>
+    table = (gram[:, a, b] * gram[:, c, d] + gram[:, a, c] * gram[:, b, d]
+             + gram[:, a, d] * gram[:, b, c]) / 15.0
+    base = pulse_coefficient(energies[:, None, :],
+                             np.array(toolbox.carriers)[:, None], toolbox)
+    check_generators(base, toolbox, first_member=start)
+    gap = energies[:, 0] - energies[:, 1]
+    k_down, k_up, rate = secular_rates(theta, gap, bath)
+    pop, phase = secular_dynamics(k_down, k_up, to_angular(gap), rate,
+                                  waiting_times)
+    params = np.stack([pop[..., 0, 0], pop[..., 1, 0], pop[..., 0, 1],
+                       pop[..., 1, 1], phase.real, phase.imag], axis=1)
+    return _Chunk(start=start, table=table, base=base,
+                  base_inv=np.linalg.inv(base), params=params)
+
+
+def _evaluate(chunk, gamma, structure, want_tensors):
+    """Per-member arrays of a chunk at Gamma (n,): signals and pathway
+    vectors (n, 16, T), and with ``want_tensors`` the member-reconstructed
+    elements (n, T, 2, 2, 2, 2) and ground rows (n, T, 2, 2), else None."""
+    n = len(chunk.table)
+    weights = np.concatenate([chunk.table, gamma[:, None] * chunk.table],
+                             axis=1)
+    # a stack of vector @ matrix products, one BLAS call per member: one
+    # (n, 64) @ (64, 544) product lets BLAS choose its kernel by n, which
+    # can round a member's row differently in a different batch
+    vectors = np.matmul(weights[:, None, :], structure).view(complex)
+    vectors = vectors.reshape(n, 16, 17)
+    offset = vectors[..., 0]
+    full = vectors[..., 1:] - vectors[..., :1]
+    blocks = geometry_blocks(offset, full, gamma, first_member=chunk.start)
+    pathways = full[..., _SECULAR_PARAMS] @ chunk.params + offset[..., None]
+    signals = kron_power4(chunk.base) @ pathways
+    if not want_tensors:
+        return signals, pathways, None, None
+    params = solve_chi_blocks(kron_power4(chunk.base_inv) @ signals, blocks)
+    elements = params_to_elements(params.transpose(0, 2, 1))
+    return signals, pathways, elements, closure_ground_row(elements)
+
+
+def _add_in_order(total, part):
+    """``total`` plus the members of ``part`` (n, ...), one after another.
+
+    An axis-0 sum adds the rows in order, and the running total goes first,
+    so the member order carries across chunks.
+    """
+    if part is None:
+        return None
+    if total is None:
+        return part.sum(axis=0)
+    return np.concatenate([total[None], part]).sum(axis=0)
+
+
+@dataclass
+class EnsembleResult:
+    """Ensemble means at one Gamma: signals and pathway vectors per waiting
+    time, and the member-reconstructed tensors' elements and ground rows
+    (None when tensors were not asked for)."""
+
+    signal_table: SignalTable
+    pathway_means: np.ndarray      # (n, 16) complex, canonical pathway order
+    elements: np.ndarray           # (n, 2, 2, 2, 2) complex, or None
+    grounds: np.ndarray            # (n, 2, 2) complex, or None
+    n_members: int
+
+    @property
+    def tensors(self):
+        """The mean tensors as ProcessTensors, one per waiting time."""
+        if self.elements is None:
+            return None
+        return [ProcessTensor(waiting_time=t, elements=el, ground_row=gr)
+                for t, el, gr in zip(self.signal_table.t_grid.tolist(),
+                                     self.elements, self.grounds)]
+
+
+def evaluate_ensemble(members, bath: BathParams, toolbox: PulseToolbox,
+                      t_grid, gammas, verbatim=False, want_tensors=True):
+    """Ensemble means at each Gamma of ``gammas``, one EnsembleResult at a
+    time.
+
+    An entry of ``gammas`` is one Gamma for every member or a sequence of
+    one per member.  The Gamma-independent arrays are made once, ``_CHUNK``
+    members at a time; each Gamma then runs over the chunks and sums the
+    members in order.  A member that fails a check (degenerate dimer,
+    singular pulse generator, leaking or singular geometry map) raises the
+    error with its index in ``members``.
+    """
+    if not members:
+        raise ValueError("members must be nonempty")
+    t_grid = np.asarray(t_grid, dtype=float)
+    structure = pathway_structure(verbatim)
+    chunks = [_prepare(members[start:start + _CHUNK], start, bath, toolbox,
+                       t_grid)
+              for start in range(0, len(members), _CHUNK)]
+    count = len(members)
+    for gamma in gammas:
+        gamma = np.broadcast_to(np.asarray(gamma, dtype=float), (count,))
+        totals = [None] * 4
+        for chunk in chunks:
+            stop = chunk.start + len(chunk.table)
+            parts = _evaluate(chunk, gamma[chunk.start:stop], structure,
+                              want_tensors)
+            totals = [_add_in_order(total, part)
+                      for total, part in zip(totals, parts)]
+        sig, pw, el, gr = (None if total is None else total / count
+                           for total in totals)
+        yield EnsembleResult(
+            signal_table=SignalTable(t_grid=t_grid, values=sig.T),
+            pathway_means=pw.T, elements=el, grounds=gr, n_members=count)
+
+
+def run_ensemble(members, bath: BathParams, toolbox: PulseToolbox, t_grid,
+                 verbatim=False, want_tensors=True) -> EnsembleResult:
+    """Ensemble means with each member at its own quantum_yield_gamma."""
+    return next(evaluate_ensemble(
+        members, bath, toolbox, t_grid,
+        [[m.quantum_yield_gamma for m in members]], verbatim=verbatim,
+        want_tensors=want_tensors))
+
+
 def evaluate_member(member: DimerParams, bath: BathParams,
                     toolbox: PulseToolbox, t_grid, verbatim=False,
                     want_tensors=True):
@@ -67,70 +246,15 @@ def evaluate_member(member: DimerParams, bath: BathParams,
     Returns (signals (n, 16), pathway vectors (n, 16),
     elements (n, 2, 2, 2, 2) or None, ground rows (n, 2, 2) or None).
     """
-    basis = build_exciton_basis(member)
-    gen = build_redfield_generator(basis, bath)
-    cmat = build_c_matrix(basis, toolbox)
-    blocks = build_m_blocks(basis, member.quantum_yield_gamma,
-                            verbatim=verbatim)
-    mfull = blocks.full_matrix()
-    n = len(t_grid)
-    signals = np.zeros((n, 16), dtype=complex)
-    pathways = np.zeros((n, 16), dtype=complex)
-    for k, waiting_time in enumerate(t_grid):
-        truth = propagate_process_tensor(gen, waiting_time)
-        pathways[k] = mfull @ tensor_to_params(truth) + blocks.offset
-        signals[k] = cmat.entries @ pathways[k]
-    if not want_tensors:
-        return signals, pathways, None, None
-    elements, grounds, _ = reconstruct_rows(signals, cmat, blocks)
-    return signals, pathways, elements, grounds
+    result = run_ensemble([member], bath, toolbox, t_grid, verbatim=verbatim,
+                          want_tensors=want_tensors)
+    return (result.signal_table.values, result.pathway_means,
+            result.elements, result.grounds)
 
 
 def synthesize_signal_table(dimer: DimerParams, bath: BathParams,
                             toolbox: PulseToolbox, t_grid,
                             verbatim=False) -> SignalTable:
     """Homogeneous (single-dimer) signal table over the waiting-time grid."""
-    signals, _, _, _ = evaluate_member(dimer, bath, toolbox, tuple(t_grid),
-                                       verbatim=verbatim, want_tensors=False)
-    return SignalTable(t_grid=np.asarray(t_grid, dtype=float), values=signals)
-
-
-@dataclass
-class EnsembleResult:
-    """Ensemble means: signals and pathway vectors per waiting time, tensors."""
-
-    signal_table: SignalTable
-    pathway_means: np.ndarray      # (n, 16) complex, canonical pathway order
-    tensors: list
-    n_members: int
-
-
-def run_ensemble(members, bath: BathParams, toolbox: PulseToolbox, t_grid,
-                 verbatim=False, want_tensors=True) -> EnsembleResult:
-    """Evaluate all members and sum their results in member order."""
-    if not members:
-        raise ValueError("members must be nonempty")
-    t_grid = tuple(float(t) for t in t_grid)
-    n = len(t_grid)
-    sums = [np.zeros((n, 16), dtype=complex),
-            np.zeros((n, 16), dtype=complex),
-            np.zeros((n, 2, 2, 2, 2), dtype=complex),
-            np.zeros((n, 2, 2), dtype=complex)]
-    for member in members:
-        parts = evaluate_member(member, bath, toolbox, t_grid,
-                                verbatim=verbatim, want_tensors=want_tensors)
-        for total, part in zip(sums, parts):
-            if part is not None:
-                total += part
-
-    count = len(members)
-    sig, pw, el, gr = (total / count for total in sums)
-    tensors = None
-    if want_tensors:
-        tensors = [ProcessTensor(waiting_time=t_grid[k], elements=el[k],
-                                 ground_row=gr[k])
-                   for k in range(n)]
-    return EnsembleResult(
-        signal_table=SignalTable(t_grid=np.asarray(t_grid, dtype=float),
-                                 values=sig),
-        pathway_means=pw, tensors=tensors, n_members=count)
+    return run_ensemble([dimer], bath, toolbox, t_grid, verbatim=verbatim,
+                        want_tensors=False).signal_table

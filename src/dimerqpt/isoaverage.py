@@ -7,10 +7,13 @@ parametrization through the averaged pathway expressions yields the three
 geometry blocks (4x4, 4x4 and 8x8) whose inverses take the averaged
 pathway amplitudes back to the tensor components.  The blocks are derived
 programmatically from the same pathway structure used for signal synthesis,
-and cross-checked against independent closed-form dot-product algebra.
+and cross-checked against independent closed-form dot-product algebra.  For
+arrays of members, the same probe read with one-hot dipole-factor tables
+gives the fixed structure of the map in the 32 isotropic dipole factors.
 """
 
 from dataclasses import dataclass
+import functools
 
 import numpy as np
 
@@ -146,10 +149,21 @@ _COLS_EE = [0, 1, 2, 3]
 _COLS_EPEP = [4, 5, 6, 7]
 _COLS_EEP = [8, 9, 10, 11, 12, 13, 14, 15]
 
+_BLOCKS = (("ee", _ROWS_EE, _COLS_EE), ("epep", _ROWS_EPEP, _COLS_EPEP),
+           ("eep", _ROWS_EEP, _COLS_EEP))
+_BLOCK_MASK = np.zeros((16, 16), dtype=bool)
+for _name, _rows, _cols in _BLOCKS:
+    _BLOCK_MASK[np.ix_(_rows, _cols)] = True
+
 
 @dataclass(frozen=True)
 class MBlocks:
-    """Geometry blocks mapping tensor parameters to averaged pathway amplitudes."""
+    """Geometry blocks mapping tensor parameters to averaged pathway amplitudes.
+
+    The arrays may carry a leading member axis, as ``geometry_blocks``
+    returns for a stack of maps; ``solve_chi_blocks`` takes such a stack,
+    the methods take one member's blocks.
+    """
 
     m_ee: np.ndarray
     m_epep: np.ndarray
@@ -174,9 +188,8 @@ class MBlocks:
     def full_matrix(self):
         """16x16 map from parameters to the canonical pathway vector."""
         full = np.zeros((16, 16), dtype=complex)
-        for rows, cols, block in [(_ROWS_EE, _COLS_EE, self.m_ee),
-                                  (_ROWS_EPEP, _COLS_EPEP, self.m_epep),
-                                  (_ROWS_EEP, _COLS_EEP, self.m_eep)]:
+        for (_, rows, cols), block in zip(_BLOCKS, (self.m_ee, self.m_epep,
+                                                    self.m_eep)):
             full[np.ix_(rows, cols)] = block
         return full
 
@@ -186,6 +199,39 @@ class MBlocks:
                 + self.offset)
 
 
+def geometry_blocks(offset, full, gamma, first_member=None) -> MBlocks:
+    """Checked geometry blocks of maps ``full`` (..., 16 pathways, 16 params)
+    with ``offset`` (..., 16).
+
+    Entries that the block structure predicts to vanish must be numerically
+    zero (RuntimeError otherwise), and no block may have a condition number
+    above COND_THRESHOLD (SingularGeometryError).  With a stack and
+    ``first_member``, the error names the first failing member, counted
+    from ``first_member``.
+    """
+    scale = np.max(np.abs(full), axis=(-2, -1))
+    scale = np.where(scale == 0.0, 1.0, scale)
+    failures = [(np.max(np.abs(full[..., ~_BLOCK_MASK]), axis=-1)
+                 > 1e-12 * scale, RuntimeError,
+                 "pathway map is not block diagonal as expected")]
+    blocks = [full[..., rows, :][..., cols] for _, rows, cols in _BLOCKS]
+    for (name, _, _), block in zip(_BLOCKS, blocks):
+        failures.append((np.linalg.cond(block) > COND_THRESHOLD,
+                         SingularGeometryError,
+                         f"geometry block {name} is singular for this "
+                         "dipole geometry"))
+    bad = np.stack([np.ravel(mask) for mask, _, _ in failures])
+    members = np.flatnonzero(bad.any(axis=0))
+    if members.size:
+        member = int(members[0])
+        _, error, message = failures[int(np.argmax(bad[:, member]))]
+        if first_member is not None:
+            message = f"member {first_member + member}: {message}"
+        raise error(message)
+    return MBlocks(m_ee=blocks[0], m_epep=blocks[1], m_eep=blocks[2],
+                   gamma=gamma, offset=offset)
+
+
 def build_m_blocks(basis: ExcitonBasis, gamma: float,
                    verbatim: bool = False) -> MBlocks:
     """Derive the geometry blocks from the averaged pathway expressions.
@@ -193,8 +239,7 @@ def build_m_blocks(basis: ExcitonBasis, gamma: float,
     Each column is the averaged pathway vector generated by one unit vector
     of the real tensor parametrization at zero coherence and echo times;
     all of them come out of one pass over the pathways on the stacked probe
-    tensor.  Entries that the block structure predicts to vanish are
-    checked to be numerically zero.
+    tensor.  The blocks are checked by ``geometry_blocks``.
     """
     from .response import iso_pathway_vector
 
@@ -203,46 +248,50 @@ def build_m_blocks(basis: ExcitonBasis, gamma: float,
     # The hole term and the ground-row closure constant cancel, so the
     # averaged pathway vector is strictly linear in the parameters; the
     # offset at zero parameters is subtracted anyway as a guard.
-    offset = vectors[:, 0].copy()
-    full = vectors[:, 1:] - vectors[:, :1]  # (16 pathways, 16 params)
+    return geometry_blocks(vectors[:, 0].copy(),
+                           vectors[:, 1:] - vectors[:, :1], gamma)
 
-    mask = np.zeros((16, 16), dtype=bool)
-    for rows, cols in [(_ROWS_EE, _COLS_EE), (_ROWS_EPEP, _COLS_EPEP),
-                       (_ROWS_EEP, _COLS_EEP)]:
-        mask[np.ix_(rows, cols)] = True
-    scale = np.max(np.abs(full)) or 1.0
-    leakage = np.max(np.abs(full[~mask]))
-    if leakage > 1e-12 * scale:
-        raise RuntimeError("pathway map is not block diagonal as expected")
 
-    blocks = {}
-    for name, rows, cols in [("ee", _ROWS_EE, _COLS_EE),
-                             ("epep", _ROWS_EPEP, _COLS_EPEP),
-                             ("eep", _ROWS_EEP, _COLS_EEP)]:
-        block = full[np.ix_(rows, cols)]
-        if np.linalg.cond(block) > COND_THRESHOLD:
-            raise SingularGeometryError(
-                f"geometry block {name} is singular for this dipole geometry")
-        blocks[name] = block
-    return MBlocks(m_ee=blocks["ee"], m_epep=blocks["epep"],
-                   m_eep=blocks["eep"], gamma=gamma, offset=offset)
+@functools.cache
+def pathway_structure(verbatim: bool):
+    """Structure of the probed pathway vectors in the dipole factors.
+
+    The averaged pathway vectors of the stacked probe tensor are linear in
+    the 32 isotropic dipole factors of ``DIPOLE_TUPLES`` and affine in
+    Gamma: vectors = table @ (S0 + Gamma dS).  S0 and dS (each 32 x 16
+    pathways x 17 probes) are read off ``iso_pathway_vector`` with one-hot
+    tables at Gamma = 0 and 1, so the pathway expressions stay the one
+    source of truth.  Returned as one read-only real (64, 544) matrix, S0
+    over dS, each row the real view of a (16, 17) complex block.
+    """
+    from .response import DIPOLE_TUPLES, iso_pathway_vector
+
+    at = [np.array([iso_pathway_vector(
+        None, gamma, _PROBE_TENSOR, verbatim=verbatim,
+        table={labels: float(labels == one) for labels in DIPOLE_TUPLES})
+        for one in DIPOLE_TUPLES]) for gamma in (0.0, 1.0)]
+    # entries are sums of +-1, +-1j and 0: the difference is exact
+    structure = np.concatenate([at[0], at[1] - at[0]])
+    structure = structure.view(float).reshape(len(structure), -1)
+    structure.setflags(write=False)
+    return structure
 
 
 def solve_chi_blocks(pathways, blocks: MBlocks):
     """Invert the geometry blocks for a stack of pathway vectors.
 
-    ``pathways`` is (16, n) complex, one canonical averaged pathway vector
-    (zero coherence and echo times) per column; returns the (16, n) real
+    ``pathways`` is (..., 16, n) complex, one canonical averaged pathway
+    vector (zero coherence and echo times) per column, with leading axes
+    matching those of the blocks; returns the (..., 16, n) real
     parameters.  The solves are exact (square, noiseless); consistency of
     the overdetermined real/imaginary structure is the caller's concern
     (see ReconstructionReport residuals).
     """
-    p = np.asarray(pathways, dtype=complex) - blocks.offset[:, None]
-    params = np.zeros((N_PARAMS, p.shape[1]))
-    for rows, cols, block in [(_ROWS_EE, _COLS_EE, blocks.m_ee),
-                              (_ROWS_EPEP, _COLS_EPEP, blocks.m_epep),
-                              (_ROWS_EEP, _COLS_EEP, blocks.m_eep)]:
-        params[cols] = np.linalg.solve(block, p[rows]).real
+    p = np.asarray(pathways, dtype=complex) - blocks.offset[..., None]
+    params = np.zeros(p.shape[:-2] + (N_PARAMS, p.shape[-1]))
+    for (_, rows, cols), block in zip(_BLOCKS, (blocks.m_ee, blocks.m_epep,
+                                                blocks.m_eep)):
+        params[..., cols, :] = np.linalg.solve(block, p[..., rows, :]).real
     return params
 
 

@@ -104,19 +104,26 @@ def _dipole_angle(reference, vec):
     return math.atan2(cross, dot)
 
 
-def build_exciton_basis(dimer: DimerParams) -> ExcitonBasis:
-    """Diagonalize the one-exciton block and attach transition dipoles.
+def diagonalize(site_energy_1, site_energy_2, coupling_j):
+    """(average, half-difference, mixing angle, half-splitting) in cm^-1
+    and radians, for one dimer's scalars or arrays of several dimers.
 
     The mixing angle is theta = arctan2(J, Delta) / 2, which keeps
-    energy_e >= energy_ep for either sign of the site-energy difference.
+    energy_e >= energy_ep for either sign of the site-energy difference;
+    the half-splitting hypot(Delta, J) = Delta sec(2 theta) is sign-safe.
     """
-    avg = 0.5 * (dimer.site_energy_1 + dimer.site_energy_2)
-    delta = 0.5 * (dimer.site_energy_1 - dimer.site_energy_2)
-    j = dimer.coupling_j
-    if delta == 0.0 and j == 0.0:
+    avg = 0.5 * (site_energy_1 + site_energy_2)
+    delta = 0.5 * (site_energy_1 - site_energy_2)
+    return (avg, delta, 0.5 * np.arctan2(coupling_j, delta),
+            np.hypot(delta, coupling_j))
+
+
+def build_exciton_basis(dimer: DimerParams) -> ExcitonBasis:
+    """Diagonalize the one-exciton block and attach transition dipoles."""
+    avg, delta, theta, split = diagonalize(
+        dimer.site_energy_1, dimer.site_energy_2, dimer.coupling_j)
+    if delta == 0.0 and dimer.coupling_j == 0.0:
         raise DegenerateDimerError("degenerate dimer: cannot build exciton basis")
-    theta = 0.5 * math.atan2(j, delta)
-    split = math.hypot(delta, j)  # = Delta * sec(2 theta), made sign-safe
     basis = ExcitonBasis(
         mixing_angle_theta=theta,
         average_freq=avg,
@@ -128,25 +135,30 @@ def build_exciton_basis(dimer: DimerParams) -> ExcitonBasis:
     return transition_dipoles(dimer, basis)
 
 
-def transition_dipoles(dimer: DimerParams, basis: ExcitonBasis) -> ExcitonBasis:
-    """Fill in the four exciton transition dipoles and their relative angles.
+def dipole_vectors(theta, dipole_d1, dipole_d2, phi):
+    """The four transition dipoles (..., 4, 3), in DIPOLE_LABELS order.
 
-    Site dipoles are d1 along z and d2 rotated by phi in the xz plane; the
+    Arguments are one dimer's scalars or arrays of several dimers.  Site
+    dipoles are d1 along z and d2 rotated by phi in the xz plane; the
     exciton dipoles follow from the orthogonal rotation by the mixing angle.
     """
-    d1 = dimer.dipole_d1
-    d2 = dimer.dipole_d2
-    phi = dimer.dipole_angle_phi
-    ct, st = math.cos(basis.mixing_angle_theta), math.sin(basis.mixing_angle_theta)
-    cp, sp = math.cos(phi), math.sin(phi)
+    theta, d1, d2, phi = np.broadcast_arrays(theta, dipole_d1, dipole_d2, phi)
+    zero = np.zeros(theta.shape)
+    vec_d1 = np.stack([zero, zero, d1], axis=-1)
+    vec_d2 = np.stack([d2 * np.sin(phi), zero, d2 * np.cos(phi)], axis=-1)
+    ct, st = np.cos(theta)[..., None], np.sin(theta)[..., None]
+    return np.stack([ct * vec_d1 + st * vec_d2,      # eg
+                     -st * vec_d1 + ct * vec_d2,     # epg
+                     st * vec_d1 + ct * vec_d2,      # fe
+                     ct * vec_d1 - st * vec_d2],     # fep
+                    axis=-2)
 
-    vec_d1 = np.array([0.0, 0.0, d1])
-    vec_d2 = np.array([d2 * sp, 0.0, d2 * cp])
 
-    mu_eg = ct * vec_d1 + st * vec_d2
-    mu_epg = -st * vec_d1 + ct * vec_d2
-    mu_fe = st * vec_d1 + ct * vec_d2
-    mu_fep = ct * vec_d1 - st * vec_d2
+def transition_dipoles(dimer: DimerParams, basis: ExcitonBasis) -> ExcitonBasis:
+    """Fill in the four exciton transition dipoles and their relative angles."""
+    mu_eg, mu_epg, mu_fe, mu_fep = dipole_vectors(
+        basis.mixing_angle_theta, dimer.dipole_d1, dimer.dipole_d2,
+        dimer.dipole_angle_phi)
 
     if np.linalg.norm(mu_eg) == 0.0:
         raise DegenerateDimerError("mu_eg vanishes: angle reference undefined")

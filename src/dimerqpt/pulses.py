@@ -48,12 +48,13 @@ def pulse_coefficient(transition_freq, omega, toolbox: PulseToolbox):
     Exact Gaussian Fourier transform evaluated at the detuning; labels never
     enter, so f-manifold transitions resolve through their frequency (which
     coincides with one of the single-exciton transition frequencies here).
+    Frequencies may be arrays that broadcast together.
     """
     sigma = toolbox.pulse_width_sigma
-    detuning = to_angular(transition_freq - omega)  # rad/fs
+    detuning = to_angular(np.subtract(transition_freq, omega))  # rad/fs
     return (1j * toolbox.field_strength_lambda
             * math.sqrt(2.0 * math.pi) * sigma
-            * math.exp(-0.5 * (sigma * detuning) ** 2))
+            * np.exp(-0.5 * (sigma * detuning) ** 2))
 
 
 def base_coefficient_matrix(basis: ExcitonBasis, toolbox: PulseToolbox):
@@ -61,9 +62,41 @@ def base_coefficient_matrix(basis: ExcitonBasis, toolbox: PulseToolbox):
 
     Rows are the carriers (plus, minus), columns the exciton labels (e, ep).
     """
-    freqs = (basis.energy_e, basis.energy_ep)
-    return np.array([[pulse_coefficient(f, w, toolbox) for f in freqs]
-                     for w in toolbox.carriers])
+    return pulse_coefficient(np.array([basis.energy_e, basis.energy_ep]),
+                             np.array(toolbox.carriers)[:, None], toolbox)
+
+
+def check_generators(base, toolbox: PulseToolbox, first_member=None):
+    """Reject 2x2 generators (..., 2, 2) too close to singular.
+
+    A generator whose |det| is at most DET_THRESHOLD times its norm scale
+    cannot discriminate the two exciton transitions.  With a stack and
+    ``first_member``, the error names the first such member, counted from
+    ``first_member``.
+    """
+    scale = np.sum(np.abs(base) ** 2, axis=(-2, -1)) / 2.0
+    bad = np.flatnonzero(np.abs(np.linalg.det(base)) <= DET_THRESHOLD * scale)
+    if bad.size:
+        where = ("" if first_member is None
+                 else f"member {first_member + int(bad[0])}: ")
+        raise SingularToolboxError(
+            f"{where}toolbox frequencies "
+            f"({toolbox.freq_plus}, {toolbox.freq_minus}) cm^-1 cannot "
+            "discriminate the exciton transitions")
+
+
+def kron_power4(base):
+    """Fourfold Kronecker power (..., 16, 16) of matrices (..., 2, 2).
+
+    Entries are the products np.kron forms, in its order, so one 2x2 matrix
+    gives np.kron(np.kron(np.kron(b, b), b), b) exactly.
+    """
+    out = base
+    for _ in range(3):
+        size = 2 * out.shape[-1]
+        out = (out[..., :, None, :, None] * base[..., None, :, None, :]
+               ).reshape(base.shape[:-2] + (size, size))
+    return out
 
 
 @dataclass(frozen=True)
@@ -94,13 +127,5 @@ class CMatrix:
 def build_c_matrix(basis: ExcitonBasis, toolbox: PulseToolbox) -> CMatrix:
     """Kronecker-assemble the 16x16 matrix and reject unusable toolboxes."""
     base = base_coefficient_matrix(basis, toolbox)
-    scale = np.linalg.norm(base, ord="fro") ** 2 / 2.0
-    if abs(np.linalg.det(base)) <= DET_THRESHOLD * scale:
-        raise SingularToolboxError(
-            "toolbox frequencies "
-            f"({toolbox.freq_plus}, {toolbox.freq_minus}) cm^-1 cannot "
-            "discriminate the exciton transitions")
-    entries = base
-    for _ in range(3):
-        entries = np.kron(entries, base)
-    return CMatrix(entries=entries, base_2x2=base)
+    check_generators(base, toolbox)
+    return CMatrix(entries=kron_power4(base), base_2x2=base)

@@ -70,6 +70,13 @@ def pathway_terms(p, q, r, s, verbatim=False):
     )
 
 
+#: dipole labels of every pathway term (either reading), in a fixed order:
+#: the keys of an isotropic dipole-factor table
+DIPOLE_TUPLES = sorted({term.dipoles for pqrs in PATHWAY_ORDER
+                        for verbatim in (False, True)
+                        for term in pathway_terms(*pqrs, verbatim)})
+
+
 def detection_weight(kind, gamma):
     """Fluorescence weight of a pathway family in the detection operator."""
     if kind == "esa":

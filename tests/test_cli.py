@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from dimerqpt.bath import build_redfield_generator, propagate_process_tensor
-from dimerqpt import cli
+from dimerqpt import bath, cli, ensemble, isoaverage, reconstruct, response
 from dimerqpt.cli import _parse_tensor_csv, main
 from dimerqpt.config import (config_from_dict, config_to_dict, default_config,
                              load_config, save_config)
@@ -246,6 +246,35 @@ def test_ensemble_flow_matches_member_mean(tmp_path):
         assert np.max(np.abs(a.ground_row - b.ground_row)) < 1e-8
 
 
+def test_ensemble_commands_run_the_engine_once(tmp_path, monkeypatch):
+    cfg = replace(default_config(output_dir=str(tmp_path / "ens")),
+                  ensemble=EnsembleSpec(n_members=4, sigma_inh=40.0, seed=4),
+                  t_grid=(120.0, 300.0))
+    path = str(tmp_path / "ens.json")
+    save_config(cfg, path)
+    engine = cli.evaluate_ensemble
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return engine(*args, **kwargs)
+
+    def per_member(*args, **kwargs):
+        raise AssertionError("per-member path called")
+
+    monkeypatch.setattr(cli, "evaluate_ensemble", counted)
+    for module in (bath, cli, ensemble, isoaverage, reconstruct, response):
+        for name in ("build_m_blocks", "propagate_process_tensor",
+                     "evaluate_member"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, per_member)
+    for command in ("simulate", "reconstruct"):
+        calls.clear()
+        assert main([command, "--config", path]) == 0
+        assert len(calls) == 1
+        assert calls[0][4] == cfg.gamma_list
+
+
 def _tensor_file_error(config_path, small_config, capsys, edit):
     main(["simulate", "--config", config_path])
     main(["reconstruct", "--config", config_path])
@@ -407,6 +436,14 @@ def _mutate(kind, lines, rng, blanks):
     elif kind == "non-finite":
         fields[rng.choice([0, -2, -1])] = rng.choice(["nan", "inf", "-inf"])
         message = "non-finite number"
+    elif kind == "oversized field":
+        fields[rng.randrange(len(fields))] = "9" * 200000
+        message = "field larger than field limit"
+    elif kind == "not UTF-8":
+        # lone surrogates are written as the raw bytes ff fe
+        at = rng.randrange(len(fields))
+        fields[at] = fields[at][:1] + "\udcff\udcfe" + fields[at][1:]
+        message = "\\udcff\\udcfe"
     elif kind == "extra field":
         fields.append("0")
         message = f"expected {width} fields, got {width + 1}"
@@ -418,8 +455,8 @@ def _mutate(kind, lines, rng, blanks):
 
 
 _MUTATIONS = ["blank lines", "shuffle", "delete", "duplicate",
-              "unknown label", "unparsable", "non-finite", "extra field",
-              "dropped field"]
+              "unknown label", "unparsable", "non-finite", "oversized field",
+              "not UTF-8", "extra field", "dropped field"]
 
 
 @pytest.mark.parametrize("stem", ["signals", "tensors"])
@@ -440,7 +477,7 @@ def test_reader_fuzz(valid_files, stem, kind, seed, blanks, chunk):
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(cli, "_READ_CHUNK", chunk):
         path = os.path.join(tmp, f"{stem}_gamma2.csv")
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", errors="surrogateescape") as fh:
             fh.write("\r\n".join(lines) + "\r\n")
         if fault_line is None:
             original = os.path.join(cfg.output_dir, f"{stem}_gamma2.csv")
@@ -474,6 +511,7 @@ def test_reader_reports_first_fault_in_file_order(valid_files, tmp_path):
     header, rows = files["signals"][0], files["signals"][1:]
     copy = rows[0].split(",")
     copy[-1] = "7"
+    huge = "120,++++," + "1" * 200000 + ",0"
     cases = [
         # a duplicate ahead of a malformed row
         (rows[:3] + [",".join(copy)] + rows[3:10] + ["bad"] + rows[10:],
@@ -491,6 +529,13 @@ def test_reader_reports_first_fault_in_file_order(valid_files, tmp_path):
          "not convert string to float: 'y')", ""),
         (rows[:2] + ["120,bad,y,z"] + rows[2:],
          "4: malformed row (unknown omega_tuple 'bad')", ""),
+        # a malformed row, a duplicate or an oversized field: the first wins
+        (rows[:3] + ["bad"] + rows[3:10] + [huge] + rows[10:],
+         "5: malformed row (expected 4 fields, got 1)", ""),
+        (rows[:3] + [",".join(copy)] + rows[3:10] + [huge] + rows[10:],
+         "5: duplicate row", "(first at line 2)"),
+        (rows[:3] + [huge] + rows[3:10] + ["bad"] + rows[10:],
+         "5: malformed row (field larger than field limit", ""),
     ]
     path = str(tmp_path / "signals.csv")
     for body, where, first in cases:

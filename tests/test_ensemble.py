@@ -1,13 +1,39 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from dimerqpt.ensemble import (EnsembleSpec, evaluate_member, run_ensemble,
-                               sample_members, synthesize_signal_table)
-from dimerqpt.isoaverage import build_m_blocks
+from dimerqpt import ensemble
+from dimerqpt.bath import build_redfield_generator, propagate_process_tensor
+from dimerqpt.ensemble import (EnsembleSpec, evaluate_ensemble,
+                               evaluate_member, run_ensemble, sample_members,
+                               synthesize_signal_table)
+from dimerqpt.errors import SingularGeometryError
+from dimerqpt.isoaverage import (build_m_blocks, pathway_structure,
+                                 tensor_to_params)
+from dimerqpt.model import DimerParams, build_exciton_basis
 from dimerqpt.pulses import build_c_matrix
-from dimerqpt.reconstruct import reconstruct_single, validate_tensor
+from dimerqpt.reconstruct import (reconstruct_rows, reconstruct_single,
+                                  validate_tensor)
 
 T_GRID = (150.0, 300.0, 450.0)
+GAMMAS = (0.0, 0.5, 1.0, 1.5, 2.0)
+
+# coupling, dipoles and Gamma differ from member to member
+HAND_BUILT = [
+    DimerParams(site_energy_1=12881.0, site_energy_2=12719.0,
+                coupling_j=120.0),
+    DimerParams(site_energy_1=12700.0, site_energy_2=12950.0,
+                coupling_j=-80.0, dipole_d1=1.3, dipole_ratio_d2_over_d1=0.7,
+                dipole_angle_phi=1.1, quantum_yield_gamma=0.5),
+    DimerParams(site_energy_1=13000.0, site_energy_2=12500.0,
+                coupling_j=300.0, dipole_ratio_d2_over_d1=2.5,
+                dipole_angle_phi=2.4, quantum_yield_gamma=1.5),
+    DimerParams(site_energy_1=12800.0, site_energy_2=12790.0,
+                coupling_j=45.0, dipole_d1=0.8, dipole_angle_phi=0.6,
+                quantum_yield_gamma=0.0),
+]
 
 
 def test_spec_validation():
@@ -111,3 +137,100 @@ def test_inhomogeneous_tensor_differs_from_homogeneous(dimer, bath, toolbox):
 def test_empty_members_rejected(bath, toolbox):
     with pytest.raises(ValueError):
         run_ensemble([], bath, toolbox, T_GRID)
+
+
+def member_oracle(member, gamma, bath, toolbox, t_grid, verbatim):
+    """Oracle: one member through its probe-evaluated geometry blocks, one
+    propagator per waiting time, the dense C matrix and its LU solve."""
+    basis = build_exciton_basis(member)
+    gen = build_redfield_generator(basis, bath)
+    cmat = build_c_matrix(basis, toolbox)
+    blocks = build_m_blocks(basis, gamma, verbatim=verbatim)
+    pathways = np.array([
+        blocks.apply(tensor_to_params(propagate_process_tensor(gen, t)))
+        for t in t_grid])
+    signals = pathways @ cmat.entries.T
+    elements, grounds, _ = reconstruct_rows(signals, cmat, blocks)
+    return signals, pathways, elements, grounds
+
+
+def oracle_means(members, gammas, bath, toolbox, verbatim):
+    parts = [member_oracle(m, g, bath, toolbox, T_GRID, verbatim)
+             for m, g in zip(members, gammas)]
+    return [np.mean(arrays, axis=0) for arrays in zip(*parts)]
+
+
+def assert_matches_oracle(result, expected):
+    def rel(a, b):
+        return np.max(np.abs(a - b)) / np.max(np.abs(b))
+    sig, pw, el, gr = expected
+    assert rel(result.signal_table.values, sig) <= 1e-14
+    assert rel(result.pathway_means, pw) <= 1e-14
+    assert np.max(np.abs(result.elements - el)) <= 1e-12
+    assert np.max(np.abs(result.grounds - gr)) <= 1e-12
+
+
+@pytest.mark.parametrize("verbatim", [False, True])
+def test_engine_matches_member_oracle(geometries, bath, toolbox, verbatim):
+    for members in (geometries, HAND_BUILT):
+        results = evaluate_ensemble(members, bath, toolbox, T_GRID, GAMMAS,
+                                    verbatim=verbatim)
+        for gamma, result in zip(GAMMAS, results):
+            assert_matches_oracle(result, oracle_means(
+                members, [gamma] * len(members), bath, toolbox, verbatim))
+    # each member at its own Gamma
+    own = [m.quantum_yield_gamma for m in HAND_BUILT]
+    assert_matches_oracle(
+        run_ensemble(HAND_BUILT, bath, toolbox, T_GRID, verbatim=verbatim),
+        oracle_means(HAND_BUILT, own, bath, toolbox, verbatim))
+
+
+@pytest.mark.parametrize("verbatim", [False, True])
+def test_member_arrays_independent_of_batch(dimer, bath, toolbox, verbatim,
+                                            monkeypatch):
+    members = HAND_BUILT + sample_members(
+        dimer, EnsembleSpec(n_members=5, sigma_inh=40.0, seed=17))
+    gammas = np.array([m.quantum_yield_gamma for m in members])
+    structure = pathway_structure(verbatim)
+    t_grid = np.array(T_GRID)
+
+    def arrays(start, stop):
+        chunk = ensemble._prepare(members[start:stop], start, bath, toolbox,
+                                  t_grid)
+        return ensemble._evaluate(chunk, gammas[start:stop], structure, True)
+
+    batch = arrays(0, len(members))
+    for i in range(len(members)):
+        for part, alone in zip(batch, arrays(i, i + 1)):
+            assert np.array_equal(part[i], alone[0])
+
+    whole = run_ensemble(members, bath, toolbox, T_GRID, verbatim=verbatim)
+    # chunks of 3, 3 and 3 members: the running sums cross two boundaries
+    monkeypatch.setattr(ensemble, "_CHUNK", 3)
+    chunked = run_ensemble(members, bath, toolbox, T_GRID, verbatim=verbatim)
+    sums = None
+    for member in members:
+        parts = evaluate_member(member, bath, toolbox, T_GRID,
+                                verbatim=verbatim)
+        sums = list(parts) if sums is None else [
+            total + part for total, part in zip(sums, parts)]
+    for result in (whole, chunked):
+        for got, total in zip((result.signal_table.values,
+                               result.pathway_means, result.elements,
+                               result.grounds), sums):
+            assert np.array_equal(got, total / len(members))
+
+
+@pytest.mark.parametrize("chunk", [1024, 2])
+def test_singular_member_is_named(dimer, bath, toolbox, chunk, monkeypatch):
+    # equal site dipoles at phi = pi/2 are orthogonal; at Gamma = 1 the
+    # coherence rows of the diagonal geometry blocks vanish
+    ortho = replace(dimer, dipole_ratio_d2_over_d1=1.0,
+                    dipole_angle_phi=math.pi / 2)
+    members = sample_members(dimer, EnsembleSpec(n_members=6, sigma_inh=40.0,
+                                                 seed=2))
+    members[3] = ortho
+    members = [replace(m, quantum_yield_gamma=1.0) for m in members]
+    monkeypatch.setattr(ensemble, "_CHUNK", chunk)
+    with pytest.raises(SingularGeometryError, match=r"^member 3: geometry"):
+        run_ensemble(members, bath, toolbox, T_GRID, want_tensors=False)
