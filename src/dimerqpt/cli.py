@@ -9,6 +9,7 @@ manifest so a run can be reproduced exactly.  Exit codes: 0 success,
 import argparse
 import csv
 from dataclasses import replace
+import functools
 from itertools import islice, product
 import json
 import os
@@ -16,8 +17,8 @@ import sys
 
 import numpy as np
 
-from .bath import (ProcessTensor, build_redfield_generator,
-                   closure_ground_row, propagator_elements)
+from .bath import (build_redfield_generator, closure_ground_row,
+                   propagator_elements)
 from .config import (ExperimentConfig, config_to_dict, default_config,
                      load_config)
 from .ensemble import evaluate_ensemble, sample_members
@@ -43,7 +44,6 @@ _TENSOR_HEADER = ["T_fs", "n", "m", "nu", "mu", "re_chi", "im_chi"]
 _TENSOR_ROWS = (list(product(_STATE_NAMES, repeat=4))
                 + [("g", "g") + p for p in product(_STATE_NAMES, repeat=2)])
 _TENSOR_SLOT = {",".join(key): slot for slot, key in enumerate(_TENSOR_ROWS)}
-_ROW_FORMAT = "%s,%s,%.17g,%.17g\r\n"
 _READ_CHUNK = 512   # CSV rows tokenized and parsed per step
 # a byte that is not valid text becomes a lone surrogate in its field, which
 # then fails to parse; messages show it escaped, as repr does
@@ -54,18 +54,24 @@ def _gamma_tag(gamma):
     return f"{gamma:g}"
 
 
-def _write_manifest(config, outdir):
-    import numpy
-    import scipy
+@functools.cache
+def _distribution_version(name):
+    """Installed version of a distribution, read from its metadata (so
+    without importing it), or "unknown"; read once per process, as parsing
+    the metadata takes milliseconds."""
     try:
         from importlib.metadata import version
-        own = version("dimerqpt")
+        return version(name)
     except Exception:
-        own = "unknown"
+        return "unknown"
+
+
+def _write_manifest(config, outdir):
     manifest = {
         "config": config_to_dict(config),
-        "versions": {"dimerqpt": own, "numpy": numpy.__version__,
-                     "scipy": scipy.__version__},
+        "versions": {"dimerqpt": _distribution_version("dimerqpt"),
+                     "numpy": np.__version__,
+                     "scipy": _distribution_version("scipy")},
     }
     with open(os.path.join(outdir, "run_manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -123,15 +129,20 @@ def _write_rows(path, header, t_grid, labels, values):
     commas) and ``values`` is (n, k) complex.  Numbers are written with
     ``%.17g``, which round-trips every double, and lines end in CRLF: the
     bytes the ``csv`` module's writer gives for ``f"{x:.17g}"`` fields.
-    One ``write`` per waiting time.
+    The k rows of one waiting time are one block: its T text joins the
+    per-file row templates, and one ``%`` over the T's (re, im) pairs fills
+    them; one ``write`` per waiting time.
     """
+    # the rows of a block without their leading T field
+    rows = [",%s,%%.17g,%%.17g\r\n" % label.replace("%", "%%")
+            for label in labels]
+    # a complex row viewed as floats is re, im pairs in row order
+    pairs = np.ascontiguousarray(values, dtype=complex).view(float)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for t, row in zip(t_grid, values):
+        for t, numbers in zip(t_grid, pairs):
             t = "%.17g" % t
-            fh.write("".join([_ROW_FORMAT % (t, label, r, i) for label, r, i
-                              in zip(labels, row.real.tolist(),
-                                     row.imag.tolist())]))
+            fh.write((t + t.join(rows)) % tuple(numbers.tolist()))
 
 
 def _floats(texts):
@@ -211,12 +222,12 @@ def _tokenized(reader, unreadable):
 
 
 def _read_rows(path, header, slots, key_name):
-    """CSV of (T_fs, key fields..., re, im) rows -> {T: values} sorted by T.
+    """CSV of (T_fs, key fields..., re, im) rows -> (T, values) sorted by T.
 
     Each T must carry every key of ``slots`` (joined with commas) exactly
     once, with finite numbers; rows may come in any order and blank rows are
-    skipped.  ``values`` is a (k,) complex row, k = len(slots), in slot
-    order; the rows are those of one (n_T, k) array.  The file is read
+    skipped.  ``T`` is (n_T,) float and ``values`` (n_T, k) complex, k =
+    len(slots), with columns in slot order.  The file is read
     ``_READ_CHUNK`` rows at a time and checked with array operations; a
     fault raises ValueError naming ``path:line``, for the fault first in
     file order (a missing key: the first T in order that lacks one).  Bytes
@@ -280,25 +291,19 @@ def _read_rows(path, header, slots, key_name):
     values = np.empty((len(times), k), dtype=complex)
     values.real[t_index, slot] = re
     values.imag[t_index, slot] = im
-    return dict(zip(times.tolist(), values))
+    return times, values
 
 
 def _read_signal_table(path, config):
     """Signal CSV -> SignalTable on the configuration's waiting times."""
-    by_t = _read_rows(path, _SIGNAL_HEADER, _OMEGA_COLUMN, "omega_tuple")
-    t_grid = np.array(list(by_t))
+    t_grid, values = _read_rows(path, _SIGNAL_HEADER, _OMEGA_COLUMN,
+                                "omega_tuple")
     expected = np.asarray(config.t_grid, dtype=float)
     if t_grid.shape != expected.shape or not np.allclose(t_grid, expected):
         raise ValueError(
             f"{path}: waiting-time grid does not match the configuration "
             f"({len(t_grid)} rows vs {len(expected)} expected)")
-    return SignalTable(t_grid=t_grid, values=np.array(list(by_t.values())))
-
-
-def _stack_tensors(tensors):
-    """ProcessTensors -> elements (n, 2, 2, 2, 2), ground rows (n, 2, 2)."""
-    return (np.array([t.elements for t in tensors]),
-            np.array([t.ground_row for t in tensors]))
+    return SignalTable(t_grid=t_grid, values=values)
 
 
 def _write_tensor_csv(path, elements, grounds, t_grid):
@@ -370,26 +375,24 @@ def cmd_reconstruct(config: ExperimentConfig):
 
 
 def _parse_tensor_csv(path):
-    """Tensor CSV -> ordered dict T -> ProcessTensor; raises on bad rows."""
-    return {t: ProcessTensor(waiting_time=t,
-                             elements=values[:16].reshape(2, 2, 2, 2),
-                             ground_row=values[16:].reshape(2, 2))
-            for t, values in _read_rows(path, _TENSOR_HEADER, _TENSOR_SLOT,
-                                        "n,m,nu,mu").items()}
+    """Tensor CSV -> T (n,), elements (n, 2, 2, 2, 2), ground rows (n, 2, 2),
+    the last two views of the rows read; raises ValueError on bad rows."""
+    times, values = _read_rows(path, _TENSOR_HEADER, _TENSOR_SLOT,
+                               "n,m,nu,mu")
+    n = len(times)
+    return (times, values[:, :16].reshape(n, 2, 2, 2, 2),
+            values[:, 16:].reshape(n, 2, 2))
 
 
 def cmd_validate(tensor_csv, tolerance=1e-8):
     try:
-        tensors = _parse_tensor_csv(tensor_csv)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
+        times, elements, grounds = _parse_tensor_csv(tensor_csv)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     failed = False
-    diagnostics = validate_tensors(*_stack_tensors(tensors.values()))
-    for t, diag in zip(tensors, diagnostics):
+    diagnostics = validate_tensors(elements, grounds)
+    for t, diag in zip(times.tolist(), diagnostics):
         ok = diag.passed(herm_tol=tolerance, trace_tol=tolerance,
                          choi_tol=tolerance)
         failed = failed or not ok

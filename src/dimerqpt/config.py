@@ -11,6 +11,8 @@ and a 10^4-member ensemble with 40 cm^-1 diagonal disorder).
 import dataclasses
 from dataclasses import dataclass
 import json
+import math
+from numbers import Real
 
 from .bath import BathParams
 from .ensemble import EnsembleSpec
@@ -19,6 +21,14 @@ from .model import DimerParams
 from .pulses import PulseToolbox
 
 DEFAULT_GAMMAS = (0.0, 0.5, 1.0, 1.5, 2.0)
+
+
+def _require_finite(where, value):
+    """Raise ConfigError naming ``where`` unless ``value`` is a finite real
+    number (a bool is not one)."""
+    if (isinstance(value, bool) or not isinstance(value, Real)
+            or not math.isfinite(value)):
+        raise ConfigError(f"{where}: must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -37,6 +47,12 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
+        for k, t in enumerate(self.t_grid):
+            # a finite float passes without the slower Real check
+            if type(t) is not float or not math.isfinite(t):
+                _require_finite(f"t_grid[{k}]", t)
+        if self.noise is not None:
+            _require_finite("noise", self.noise)
         grid = tuple(float(t) for t in self.t_grid)
         object.__setattr__(self, "t_grid", grid)
         object.__setattr__(self, "gamma_list",
@@ -113,9 +129,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         if not isinstance(section, dict):
             raise ConfigError(f"{name}: must be an object")
         fields = {f.name for f in dataclasses.fields(cls)}
-        for key in section:
+        for key, value in section.items():
             if key not in fields:
                 raise ConfigError(f"{name}.{key}: unknown field")
+            _require_finite(f"{name}.{key}", value)
         try:
             kwargs[name] = cls(**section)
         except (TypeError, ValueError) as exc:

@@ -17,9 +17,11 @@ from .errors import SingularToolboxError
 from .model import ExcitonBasis
 from .units import to_angular
 
-#: smallest |det| of the 2x2 generator, relative to its norm scale, that
-#: still counts as able to discriminate the two exciton transitions
-DET_THRESHOLD = 1e-12
+#: cond(C) at which C is numerically singular: a solve with it keeps no digit
+C_COND_LIMIT = 1.0 / np.finfo(float).eps
+# smallest singular value of C accepted: at or above it, the entries of C
+# that flush to zero perturb it by less than a rounding error
+_C_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -67,15 +69,21 @@ def base_coefficient_matrix(basis: ExcitonBasis, toolbox: PulseToolbox):
 
 
 def check_generators(base, toolbox: PulseToolbox, first_member=None):
-    """Reject 2x2 generators (..., 2, 2) too close to singular.
+    """Reject 2x2 generators (..., 2, 2) whose C cannot be inverted.
 
-    A generator whose |det| is at most DET_THRESHOLD times its norm scale
-    cannot discriminate the two exciton transitions.  With a stack and
-    ``first_member``, the error names the first such member, counted from
-    ``first_member``.
+    C is the fourfold Kronecker power of its generator, so cond(C) is
+    cond(base)^4 and the smallest singular value of C is the generator's to
+    the fourth power.  A generator is rejected when cond(C) reaches
+    C_COND_LIMIT (the toolbox cannot discriminate the two exciton
+    transitions) or that singular value falls below the underflow-safe
+    floor.  With a stack and ``first_member``, the error names the first
+    such member, counted from ``first_member``.
     """
-    scale = np.sum(np.abs(base) ** 2, axis=(-2, -1)) / 2.0
-    bad = np.flatnonzero(np.abs(np.linalg.det(base)) <= DET_THRESHOLD * scale)
+    sv = np.linalg.svd(base, compute_uv=False)
+    with np.errstate(all="ignore"):
+        bad = ~((sv[..., 0] / sv[..., 1]) ** 4 < C_COND_LIMIT)
+        bad |= ~(sv[..., 1] ** 4 >= _C_FLOOR)
+    bad = np.flatnonzero(bad)
     if bad.size:
         where = ("" if first_member is None
                  else f"member {first_member + int(bad[0])}: ")

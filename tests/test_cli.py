@@ -1,25 +1,31 @@
 import csv
+from dataclasses import fields, replace
+from importlib import metadata
 import io
 import json
 import os
 import random
+import re
 import shutil
+import subprocess
+import sys
 import tempfile
-from dataclasses import replace
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from dimerqpt.bath import build_redfield_generator, propagate_process_tensor
+from dimerqpt.bath import (BathParams, build_redfield_generator,
+                           propagate_process_tensor)
 from dimerqpt import bath, cli, ensemble, isoaverage, reconstruct, response
 from dimerqpt.cli import _parse_tensor_csv, main
 from dimerqpt.config import (config_from_dict, config_to_dict, default_config,
                              load_config, save_config)
 from dimerqpt.ensemble import EnsembleSpec, sample_members
 from dimerqpt.errors import ConfigError
-from dimerqpt.model import build_exciton_basis
+from dimerqpt.model import DimerParams, build_exciton_basis
+from dimerqpt.pulses import PulseToolbox
 
 
 @pytest.fixture
@@ -74,6 +80,69 @@ def test_config_validation_messages():
     data["gamma_list"] = [3.0]
     with pytest.raises(ConfigError, match="gamma_list"):
         config_from_dict(data)
+
+
+_NUMERIC_FIELDS = [(section, f.name)
+                   for section, cls in (("dimer", DimerParams),
+                                        ("bath", BathParams),
+                                        ("toolbox", PulseToolbox),
+                                        ("ensemble", EnsembleSpec))
+                   for f in fields(cls)]
+_NAN, _INF = float("nan"), float("inf")
+
+
+# every numeric field of the four sections, with NaN, inf and -inf in turn;
+# coupling_j gets NaN and temperature inf, as in the reported failures
+@pytest.mark.parametrize("key, value", [
+    *((key, (_NAN, _INF, -_INF)[(k + 1) % 3])
+      for k, key in enumerate(_NUMERIC_FIELDS)),
+    (("t_grid", 1), _NAN), (("t_grid", 0), _INF),
+    (("noise",), _NAN), (("noise",), _INF)],
+    ids=lambda x: ".".join(map(str, x)) if isinstance(x, tuple) else str(x))
+def test_non_finite_config_number_rejected(tmp_path, capsys, key, value):
+    """A NaN or infinite number anywhere in the configuration exits 2,
+    naming its field, before anything is written."""
+    data = config_to_dict(default_config(output_dir=str(tmp_path / "out")))
+    data["homogeneous_only"] = True
+    data["t_grid"] = [120.0, 200.0]
+    target = data
+    for part in key[:-1]:
+        target = target[part]
+    target[key[-1]] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))   # NaN and Infinity as JSON extensions
+    where = ".".join(key) if key[0] != "t_grid" else f"t_grid[{key[1]}]"
+    with pytest.raises(ConfigError, match=rf"^{re.escape(where)}: "):
+        config_from_dict(json.loads(path.read_text()))
+    assert main(["simulate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {where}: must be a finite "
+                          "number")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_manifest_versions_without_importing_scipy(config_path,
+                                                   small_config):
+    """simulate records the library versions from their metadata: scipy is
+    never imported, and the manifest names the installed distributions."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = ("import sys; from dimerqpt.cli import main; "
+             "rc = main(['simulate', '--config', sys.argv[1]]); "
+             "print(rc, 'scipy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe, config_path], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["0", "False"]
+    with open(os.path.join(small_config.output_dir,
+                           "run_manifest.json")) as fh:
+        versions = json.load(fh)["versions"]
+    try:
+        own = metadata.version("dimerqpt")
+    except metadata.PackageNotFoundError:
+        own = "unknown"
+    assert versions == {"dimerqpt": own, "numpy": metadata.version("numpy"),
+                        "scipy": metadata.version("scipy")}
 
 
 def test_simulate_reconstruct_validate_flow(config_path, small_config):
@@ -232,18 +301,17 @@ def test_ensemble_flow_matches_member_mean(tmp_path):
     for gamma in ("0", "2"):
         tensor_csv = os.path.join(cfg.output_dir, f"tensors_gamma{gamma}.csv")
         assert main(["validate", tensor_csv]) == 0
-        tensors[gamma] = _parse_tensor_csv(tensor_csv)
-        assert sorted(tensors[gamma]) == list(cfg.t_grid)
-        for t, tensor in tensors[gamma].items():
+        times, elements, grounds = _parse_tensor_csv(tensor_csv)
+        assert times.tolist() == list(cfg.t_grid)
+        for t, el, gr in zip(cfg.t_grid, elements, grounds):
             truth = [propagate_process_tensor(g, t) for g in gens]
             mean_el = np.mean([x.elements for x in truth], axis=0)
             mean_gr = np.mean([x.ground_row for x in truth], axis=0)
-            assert np.max(np.abs(tensor.elements - mean_el)) < 1e-8
-            assert np.max(np.abs(tensor.ground_row - mean_gr)) < 1e-8
-    for t in cfg.t_grid:
-        a, b = tensors["0"][t], tensors["2"][t]
-        assert np.max(np.abs(a.elements - b.elements)) < 1e-8
-        assert np.max(np.abs(a.ground_row - b.ground_row)) < 1e-8
+            assert np.max(np.abs(el - mean_el)) < 1e-8
+            assert np.max(np.abs(gr - mean_gr)) < 1e-8
+        tensors[gamma] = elements, grounds
+    for a, b in zip(tensors["0"], tensors["2"]):
+        assert np.max(np.abs(a - b)) < 1e-8
 
 
 def test_ensemble_commands_run_the_engine_once(tmp_path, monkeypatch):
@@ -341,9 +409,10 @@ _SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(data=st.data(), schema=st.sampled_from(["signals", "tensors"]),
-       n=st.integers(1, 4))
-def test_write_rows_matches_csv_writer(data, schema, n):
-    """_write_rows gives the bytes of csv.writer over f"{x:.17g}" fields."""
+       n=st.integers(1, 4), transposed=st.booleans())
+def test_write_rows_matches_csv_writer(data, schema, n, transposed):
+    """_write_rows gives the bytes of csv.writer over f"{x:.17g}" fields,
+    also for values held as a transposed (non-contiguous) view."""
     if schema == "signals":
         header, labels = cli._SIGNAL_HEADER, cli.OMEGA_LABELS
     else:
@@ -358,9 +427,12 @@ def test_write_rows_matches_csv_writer(data, schema, n):
     parts = np.array(parts).reshape(2, n, len(labels))
     values = np.empty((n, len(labels)), dtype=complex)
     values.real, values.imag = parts    # keeps the sign of zero parts
+    written_values = values
+    if transposed:  # (k, n) storage seen as (n, k), as cmd_simulate passes
+        written_values = np.ascontiguousarray(values.T).T
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "rows.csv")
-        cli._write_rows(path, header, t_grid, labels, values)
+        cli._write_rows(path, header, t_grid, labels, written_values)
         with open(path, "rb") as fh:
             written = fh.read()
     expected = io.StringIO(newline="")
@@ -483,8 +555,7 @@ def test_reader_fuzz(valid_files, stem, kind, seed, blanks, chunk):
             original = os.path.join(cfg.output_dir, f"{stem}_gamma2.csv")
             expected = cli._read_rows(original, *schema)
             parsed = cli._read_rows(path, *schema)
-            assert list(parsed) == list(expected)
-            for a, b in zip(parsed.values(), expected.values()):
+            for a, b in zip(parsed, expected):
                 assert np.array_equal(a, b)
             return
         if stem == "signals":

@@ -1,13 +1,16 @@
 import math
 
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from dimerqpt.errors import SingularToolboxError
+from dimerqpt.isoaverage import build_m_blocks, params_to_elements
 from dimerqpt.model import DimerParams, build_exciton_basis
 from dimerqpt.pulses import (PulseToolbox, base_coefficient_matrix,
                              build_c_matrix, pulse_coefficient)
+from dimerqpt.reconstruct import reconstruct_rows
 from dimerqpt.units import to_angular
 
 
@@ -99,3 +102,35 @@ def test_nonpositive_width_rejected():
     with pytest.raises(ValueError):
         PulseToolbox(freq_plus=13480.0, freq_minus=12130.0,
                      pulse_width_sigma=0.0)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(freq_plus=st.floats(11000.0, 15000.0),
+       freq_minus=st.floats(11000.0, 15000.0),
+       sigma=st.floats(1.0, 300.0))
+@example(freq_plus=13480.0, freq_minus=12130.0, sigma=40.0)
+@example(freq_plus=12800.0, freq_minus=12800.0, sigma=40.0)
+# C numerically singular: the C solve raised LinAlgError
+@example(freq_plus=12416.974123190234, freq_minus=13989.52313478469,
+         sigma=37.45790968293625)
+# every coefficient tiny: the entries of C underflow and C is singular
+@example(freq_plus=14382.545684528857, freq_minus=11218.333258889237,
+         sigma=89.05491940292526)
+def test_random_toolbox_round_trips_or_is_rejected(basis, freq_plus,
+                                                   freq_minus, sigma):
+    """A toolbox raises SingularToolboxError, or noiseless signals invert
+    through reconstruct_rows to the tensor parameters that made them: within
+    1e-10, or, where C is poorly conditioned, within 16 eps cond(C), the
+    forward-error scale of a backward-stable solve with C."""
+    params = np.random.default_rng(7).normal(size=(3, 16))
+    blocks = build_m_blocks(basis, 2.0)
+    try:
+        cmat = build_c_matrix(basis,
+                              PulseToolbox(freq_plus, freq_minus, sigma))
+    except SingularToolboxError:
+        return
+    signals = blocks.apply(params) @ cmat.entries.T
+    elements, _, _ = reconstruct_rows(signals, cmat, blocks)
+    error = np.max(np.abs(elements - params_to_elements(params)))
+    assert error <= max(1e-10, 16 * np.finfo(float).eps
+                        * cmat.condition_number)
