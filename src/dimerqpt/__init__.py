@@ -3,8 +3,7 @@ fluorescence-detected four-pulse signals."""
 
 from .bath import (BathParams, ProcessTensor, RedfieldGenerator,
                    bose_occupation, build_redfield_generator,
-                   optical_coherence_propagator, propagate_process_tensor,
-                   spectral_density)
+                   propagate_process_tensor, spectral_density)
 from .config import (ExperimentConfig, config_from_dict, config_to_dict,
                      default_config, load_config, save_config)
 from .ensemble import (EnsembleSpec, evaluate_ensemble, evaluate_member,
@@ -23,6 +22,6 @@ from .reconstruct import (ReconstructionReport, TensorDiagnostics,
                           reconstruct_rows, reconstruct_single,
                           validate_tensor, validate_tensors)
 from .response import (PATHWAY_ORDER, SignalTable, iso_pathway_vector,
-                       pathway_amplitude, pathway_terms)
+                       pathway_terms)
 
 __version__ = "0.1.0"

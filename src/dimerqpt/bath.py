@@ -4,13 +4,12 @@ An Ohmic-exponential bath couples independently and identically to each
 site.  Within the secular approximation the single-exciton Liouville space
 splits into a 2x2 population-transfer block and two decoupled coherence
 channels, so the propagator over the waiting time is evaluated exactly
-(closed-form eigendecomposition, no series truncation).  Optical coherences
-(ground <-> exciton, exciton <-> doubly-excited) decay exponentially with
-rates assembled from lifetime and pure-dephasing contributions; those rates
-can be overridden when constructing the generator.
+(closed-form eigendecomposition, no series truncation).  Optical
+coherences play no part: the protocol reads its signals at zero coherence
+and echo delays.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -95,14 +94,14 @@ class RedfieldGenerator:
     """Secular generator for the dimer coupled to its vibrational baths.
 
     population_rates is the 2x2 rate matrix on [p_e, p_ep] (fs^-1, columns
-    sum to zero).  dephasing_rates / coherence_freqs map ordered state pairs
-    (i, j) of the coherence |i><j| to Gamma_ij (fs^-1) and the transition
-    angular frequency (rad/fs).
+    sum to zero); coherence_freq (rad/fs) and dephasing_rate (fs^-1) are
+    the transition angular frequency and decay rate of the e-ep coherence
+    |e><ep|.
     """
 
     population_rates: np.ndarray
-    dephasing_rates: dict
-    coherence_freqs: dict
+    coherence_freq: float
+    dephasing_rate: float
 
     @property
     def rate_e_to_ep(self):
@@ -112,60 +111,25 @@ class RedfieldGenerator:
     def rate_ep_to_e(self):
         return self.population_rates[0, 1]
 
-_OPTICAL_PAIRS = [("e", "g"), ("ep", "g"), ("f", "e"), ("f", "ep")]
 
-
-def build_redfield_generator(basis: ExcitonBasis, bath: BathParams,
-                             dephasing_overrides: dict | None = None
+def build_redfield_generator(basis: ExcitonBasis, bath: BathParams
                              ) -> RedfieldGenerator:
-    """Assemble secular rates from the spectral density and mixing angle.
-
-    Population transfer and the e-ep coherence come from ``secular_rates``.
-    Optical coherences decay at half the transfer rate out of their exciton
-    plus the finite omega -> 0 limit of the Ohmic density times the thermal
-    occupation, projected with the appropriate powers of the mixing angle.
-    ``dephasing_overrides`` replaces individual Gamma_ij.
-    """
+    """Assemble the secular rates (``secular_rates``) from the spectral
+    density and mixing angle."""
     theta = basis.mixing_angle_theta
     gap = basis.splitting()  # cm^-1, > 0
 
     k_down, k_up, dephasing_eep = secular_rates(theta, gap, bath)
     if k_down < 0 or k_up < 0:
         raise RuntimeError("negative population rate: inconsistent bath input")
+    if dephasing_eep < 0:
+        raise RuntimeError("negative dephasing rate for ('e', 'ep')")
 
     rates = np.array([[-k_down, k_up],
                       [k_down, -k_up]])
-
-    c2, s2sq = math.cos(theta) ** 2, math.sin(theta) ** 2
-    pd_optical = 0.5 * _pure_dephasing(bath) * (c2 ** 2 + s2sq ** 2)
-
-    dephasing = {
-        ("e", "ep"): dephasing_eep,
-        ("e", "g"): 0.5 * k_down + pd_optical,
-        ("ep", "g"): 0.5 * k_up + pd_optical,
-        # f couples to both baths with full weight, so the same projection
-        # differences appear for the f <-> exciton coherences
-        ("f", "e"): 0.5 * k_down + pd_optical,
-        ("f", "ep"): 0.5 * k_up + pd_optical,
-    }
-    if dephasing_overrides:
-        dephasing.update(dephasing_overrides)
-    for pair, rate in dephasing.items():
-        if rate < 0:
-            raise RuntimeError(f"negative dephasing rate for {pair}")
-
-    freqs = {("e", "ep"): to_angular(gap)}
-    for pair in _OPTICAL_PAIRS:
-        freqs[pair] = to_angular(basis.transition_freq(pair))
-
-    # mirrored pairs: Gamma symmetric, frequency antisymmetric
-    for (i, j) in list(dephasing.keys()):
-        dephasing[(j, i)] = dephasing[(i, j)]
-        freqs[(j, i)] = -freqs[(i, j)]
-
     return RedfieldGenerator(population_rates=rates,
-                             dephasing_rates=dephasing,
-                             coherence_freqs=freqs)
+                             coherence_freq=to_angular(gap),
+                             dephasing_rate=dephasing_eep)
 
 
 @dataclass(frozen=True)
@@ -255,8 +219,8 @@ def propagator_elements(gen: RedfieldGenerator, waiting_times):
     """Elements (n, 2, 2, 2, 2) of the exact secular propagator at the
     waiting times (n,); see ``secular_dynamics``."""
     pop, phase = secular_dynamics(
-        gen.rate_e_to_ep, gen.rate_ep_to_e, gen.coherence_freqs[("e", "ep")],
-        gen.dephasing_rates[("e", "ep")], waiting_times)
+        gen.rate_e_to_ep, gen.rate_ep_to_e, gen.coherence_freq,
+        gen.dephasing_rate, waiting_times)
     elems = np.zeros(phase.shape + (2, 2, 2, 2), dtype=complex)
     for n in (E, EP):
         for nu in (E, EP):
@@ -272,18 +236,3 @@ def propagate_process_tensor(gen: RedfieldGenerator, waiting_time: float
     return ProcessTensor(waiting_time=waiting_time,
                          elements=propagator_elements(gen, [waiting_time])[0])
 
-
-def optical_coherence_propagator(i, j, duration, gen: RedfieldGenerator):
-    """Damped-phase propagator of the optical coherence |i><j|.
-
-    Zero for negative duration (causality); unit magnitude at zero
-    dephasing.  Only ground <-> exciton and exciton <-> f pairs are valid.
-    """
-    pair = (i, j)
-    allowed = set(_OPTICAL_PAIRS) | {(b, a) for a, b in _OPTICAL_PAIRS}
-    if pair not in allowed:
-        raise ValueError(f"not an optical coherence pair: {pair}")
-    if duration < 0:
-        return 0.0 + 0.0j
-    return complex(np.exp((-1j * gen.coherence_freqs[pair]
-                           - gen.dephasing_rates[pair]) * duration))

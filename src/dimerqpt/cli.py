@@ -12,6 +12,7 @@ from dataclasses import replace
 import functools
 from itertools import islice, product
 import json
+import math
 import os
 import sys
 
@@ -445,6 +446,18 @@ def _load_or_default(args):
     return config
 
 
+def _tolerance(text):
+    """argparse type of ``--tolerance``: a finite number >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="dimerqpt",
@@ -461,7 +474,7 @@ def build_parser():
 
     v = sub.add_parser("validate")
     v.add_argument("tensor_csv")
-    v.add_argument("--tolerance", type=float, default=1e-8)
+    v.add_argument("--tolerance", type=_tolerance, default=1e-8)
 
     r = sub.add_parser("report")
     r.add_argument("--output-dir", default="out")

@@ -54,6 +54,8 @@ class ExperimentConfig:
         if self.noise is not None:
             _require_finite("noise", self.noise)
         grid = tuple(float(t) for t in self.t_grid)
+        for k, g in enumerate(self.gamma_list):
+            _require_finite(f"gamma_list[{k}]", g)
         object.__setattr__(self, "t_grid", grid)
         object.__setattr__(self, "gamma_list",
                            tuple(float(g) for g in self.gamma_list))
@@ -139,15 +141,19 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             raise ConfigError(f"{name}: {exc}") from exc
     if "t_grid" not in data:
         raise ConfigError("t_grid: missing configuration key")
-    return ExperimentConfig(
-        t_grid=tuple(data["t_grid"]),
-        gamma_list=tuple(data.get("gamma_list", DEFAULT_GAMMAS)),
-        noise=data.get("noise"),
-        verbatim_terms=bool(data.get("verbatim_terms", False)),
-        homogeneous_only=bool(data.get("homogeneous_only", False)),
-        output_dir=data.get("output_dir", "out"),
-        **kwargs,
-    )
+    run = {"t_grid": data["t_grid"],
+           "gamma_list": data.get("gamma_list", DEFAULT_GAMMAS),
+           "verbatim_terms": data.get("verbatim_terms", False),
+           "homogeneous_only": data.get("homogeneous_only", False),
+           "output_dir": data.get("output_dir", "out")}
+    for key, kind, what in (("t_grid", (list, tuple), "a list of numbers"),
+                            ("gamma_list", (list, tuple), "a list of numbers"),
+                            ("verbatim_terms", bool, "true or false"),
+                            ("homogeneous_only", bool, "true or false"),
+                            ("output_dir", str, "a string")):
+        if not isinstance(run[key], kind):
+            raise ConfigError(f"{key}: must be {what}, got {run[key]!r}")
+    return ExperimentConfig(noise=data.get("noise"), **run, **kwargs)
 
 
 def load_config(path) -> ExperimentConfig:

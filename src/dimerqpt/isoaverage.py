@@ -21,14 +21,15 @@ from .bath import ProcessTensor, closure_ground_row
 from .errors import SingularGeometryError
 from .model import E, EP, ExcitonBasis
 
-Z_LAB = np.array([0.0, 0.0, 1.0])
-
 #: largest condition number a geometry block may have and still be inverted
 COND_THRESHOLD = 1e12
 
 _WEIGHTS = np.array([[4.0, -1.0, -1.0],
                      [-1.0, 4.0, -1.0],
                      [-1.0, -1.0, 4.0]]) / 30.0
+
+# all four lab fields along z: each lab pair pattern is (z.z)(z.z) = 1
+_ZZZZ_WEIGHTS = np.ones(3) @ _WEIGHTS
 
 
 def _pair_patterns(v1, v2, v3, v4):
@@ -39,16 +40,14 @@ def _pair_patterns(v1, v2, v3, v4):
     ])
 
 
-def iso_average_four(a, b, c, d, e1=Z_LAB, e2=Z_LAB, e3=Z_LAB, e4=Z_LAB):
-    """Orientational average of (a.e1)(b.e2)(c.e3)(d.e4).
+def iso_average_four(a, b, c, d):
+    """Orientational average of (a.z)(b.z)(c.z)(d.z).
 
-    a..d are molecular-frame dipole vectors, e1..e4 lab polarizations.  For
-    collinear zzzz polarizations this reduces to
+    a..d are molecular-frame dipole vectors, z the collinear lab
+    polarization; the average is
     [(a.b)(c.d) + (a.c)(b.d) + (a.d)(b.c)] / 15.
     """
-    lab = _pair_patterns(e1, e2, e3, e4)
-    mol = _pair_patterns(a, b, c, d)
-    return float(lab @ _WEIGHTS @ mol)
+    return float(_ZZZZ_WEIGHTS @ _pair_patterns(a, b, c, d))
 
 
 # ---------------------------------------------------------------------------

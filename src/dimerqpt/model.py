@@ -9,7 +9,6 @@ frame; the reference axis is chosen so that mu_eg points along z.
 """
 
 from dataclasses import dataclass, field, replace
-import math
 
 import numpy as np
 
@@ -60,8 +59,6 @@ class ExcitonBasis:
     """Closed-form exciton basis of the dimer.
 
     Dipole vectors are 3-vectors in the molecular frame (y component zero).
-    ``angle_*`` are the angles of the other three transition dipoles relative
-    to mu_eg, each in [0, pi).
     """
 
     mixing_angle_theta: float
@@ -74,9 +71,6 @@ class ExcitonBasis:
     mu_epg: np.ndarray = field(default=None)
     mu_fe: np.ndarray = field(default=None)
     mu_fep: np.ndarray = field(default=None)
-    angle_epg: float = None
-    angle_fe: float = None
-    angle_fep: float = None
 
     def dipole(self, label):
         return {"eg": self.mu_eg, "epg": self.mu_epg,
@@ -95,13 +89,6 @@ class ExcitonBasis:
                     "f": self.energy_f}
         i, j = pair
         return energies[i] - energies[j]
-
-
-def _dipole_angle(reference, vec):
-    """Angle of ``vec`` relative to ``reference`` via atan2(|cross|, dot), in [0, pi]."""
-    cross = np.linalg.norm(np.cross(reference, vec))
-    dot = float(np.dot(reference, vec))
-    return math.atan2(cross, dot)
 
 
 def diagonalize(site_energy_1, site_energy_2, coupling_j):
@@ -155,7 +142,7 @@ def dipole_vectors(theta, dipole_d1, dipole_d2, phi):
 
 
 def transition_dipoles(dimer: DimerParams, basis: ExcitonBasis) -> ExcitonBasis:
-    """Fill in the four exciton transition dipoles and their relative angles."""
+    """Fill in the four exciton transition dipoles."""
     mu_eg, mu_epg, mu_fe, mu_fep = dipole_vectors(
         basis.mixing_angle_theta, dimer.dipole_d1, dimer.dipole_d2,
         dimer.dipole_angle_phi)
@@ -169,7 +156,4 @@ def transition_dipoles(dimer: DimerParams, basis: ExcitonBasis) -> ExcitonBasis:
         mu_epg=mu_epg,
         mu_fe=mu_fe,
         mu_fep=mu_fep,
-        angle_epg=_dipole_angle(mu_eg, mu_epg),
-        angle_fe=_dipole_angle(mu_eg, mu_fe),
-        angle_fep=_dipole_angle(mu_eg, mu_fep),
     )

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from dimerqpt.bath import (BathParams, ProcessTensor, bose_occupation,
-                           build_redfield_generator,
-                           optical_coherence_propagator,
                            propagate_process_tensor, spectral_density)
 from dimerqpt.units import thermal_energy
 
@@ -52,13 +50,6 @@ def test_transfer_timescale_sensible(gen):
     assert 1e-3 < gen.rate_e_to_ep < 1e-1
 
 
-def test_dephasing_overrides(basis, bath):
-    gen = build_redfield_generator(basis, bath,
-                                   dephasing_overrides={("e", "g"): 0.25})
-    assert gen.dephasing_rates[("e", "g")] == 0.25
-    assert gen.dephasing_rates[("g", "e")] == 0.25
-
-
 def test_propagator_identity_at_zero(gen):
     tensor = propagate_process_tensor(gen, 0.0)
     ident = ProcessTensor.identity()
@@ -96,23 +87,6 @@ def test_propagator_long_time_boltzmann(gen):
 def test_propagator_rejects_negative_time(gen):
     with pytest.raises(ValueError):
         propagate_process_tensor(gen, -1.0)
-
-
-def test_optical_coherence_propagator(gen):
-    val = optical_coherence_propagator("e", "g", 10.0, gen)
-    expected_mag = math.exp(-gen.dephasing_rates[("e", "g")] * 10.0)
-    assert abs(val) == pytest.approx(expected_mag, rel=1e-12)
-    # phase rotates at the transition frequency
-    phase = -gen.coherence_freqs[("e", "g")] * 10.0
-    assert np.angle(val) == pytest.approx(math.remainder(phase, 2 * math.pi),
-                                          abs=1e-9)
-    # conjugate pair rotates the other way
-    other = optical_coherence_propagator("g", "e", 10.0, gen)
-    assert other == pytest.approx(np.conj(val), abs=1e-12)
-    # causality
-    assert optical_coherence_propagator("e", "g", -5.0, gen) == 0.0
-    with pytest.raises(ValueError):
-        optical_coherence_propagator("e", "ep", 1.0, gen)
 
 
 def test_apply_preserves_trace_with_ground(gen):

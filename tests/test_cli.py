@@ -122,6 +122,32 @@ def test_non_finite_config_number_rejected(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
+# malformed values that are not numbers: each exits 2 naming its key
+@pytest.mark.parametrize("key, value, where", [
+    ("t_grid", 5, "t_grid"),
+    ("gamma_list", 2, "gamma_list"),
+    ("gamma_list", ["x"], "gamma_list[0]"),
+    ("output_dir", 5, "output_dir"),
+    ("verbatim_terms", "false", "verbatim_terms"),
+    ("homogeneous_only", 1, "homogeneous_only")],
+    ids=lambda x: repr(x) if not isinstance(x, str) else x)
+def test_malformed_config_value_rejected(tmp_path, capsys, monkeypatch, key,
+                                         value, where):
+    """A JSON value of the wrong kind exits 2 with ``configuration error:
+    <key>: ...``, no traceback, and writes nothing."""
+    data = config_to_dict(default_config(output_dir="out"))
+    data["homogeneous_only"] = True
+    data["t_grid"] = [120.0, 200.0]
+    data[key] = value
+    (tmp_path / "cfg.json").write_text(json.dumps(data))
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--config", "cfg.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {where}: ")
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
 def test_manifest_versions_without_importing_scipy(config_path,
                                                    small_config):
     """simulate records the library versions from their metadata: scipy is
@@ -227,6 +253,30 @@ def test_malformed_tensor_file(tmp_path, capsys):
     assert main(["validate", str(path)]) == 3
     err = capsys.readouterr().err
     assert ":2:" in err
+
+
+@pytest.mark.parametrize("tolerance, code", [
+    ("nan", 2), ("-1", 2), ("inf", 2), ("0", 1), ("1e-8", 0)])
+def test_validate_tolerance(config_path, small_config, capsys, tolerance,
+                            code):
+    """A NaN, negative or infinite --tolerance is a usage error; zero and
+    the default 1e-8 still validate the file."""
+    main(["simulate", "--config", config_path])
+    main(["reconstruct", "--config", config_path])
+    capsys.readouterr()
+    tensor_csv = os.path.join(small_config.output_dir, "tensors_gamma2.csv")
+    argv = ["validate", tensor_csv, f"--tolerance={tolerance}"]
+    if code == 2:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --tolerance" in err
+    else:
+        assert main(argv) == code
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(small_config.t_grid)
 
 
 def test_noise_applied(small_config, tmp_path):

@@ -71,15 +71,6 @@ def test_f_transition_frequencies_swap(basis):
         basis.energy_e, abs=1e-9)
 
 
-def test_dipole_angles_in_range(basis):
-    for angle in (basis.angle_epg, basis.angle_fe, basis.angle_fep):
-        assert 0.0 <= angle <= math.pi
-    # angle of mu_epg agrees with the explicit formula
-    cosang = (np.dot(basis.mu_eg, basis.mu_epg)
-              / np.linalg.norm(basis.mu_eg) / np.linalg.norm(basis.mu_epg))
-    assert basis.angle_epg == pytest.approx(math.acos(cosang), abs=1e-12)
-
-
 def test_degenerate_dimer_rejected():
     with pytest.raises(DegenerateDimerError):
         DimerParams(site_energy_1=12800.0, site_energy_2=12800.0,

@@ -3,11 +3,12 @@ import pytest
 
 from dimerqpt.bath import ProcessTensor, propagate_process_tensor
 from dimerqpt.isoaverage import (iso_average_four, params_to_tensor,
-                                 tensor_to_params, build_m_blocks)
+                                 pathway_index, tensor_to_params,
+                                 build_m_blocks)
+from dimerqpt.model import build_exciton_basis
 from dimerqpt.pulses import build_c_matrix
-from dimerqpt.response import (PATHWAY_ORDER, detect_observable,
-                               detection_weight, iso_pathway_vector,
-                               pathway_amplitude, pathway_terms)
+from dimerqpt.response import (PATHWAY_ORDER, detection_weight,
+                               iso_pathway_vector, pathway_terms)
 
 
 def test_term_counts():
@@ -23,7 +24,6 @@ def test_detection_weights():
     assert detection_weight("esa", 1.0) == 0.0
     with pytest.raises(ValueError):
         detection_weight("other", 1.0)
-    assert detect_observable([("gsb", 1.0), ("esa", 1.0)], 2.0) == 0.0
 
 
 def test_identity_tensor_diagonal_amplitude(basis):
@@ -31,8 +31,7 @@ def test_identity_tensor_diagonal_amplitude(basis):
     # bleach contributes -1 and emission -1, the doubly-excited route is
     # switched off, so the amplitude is -2 <(mu_eg . z)^4>
     ident = ProcessTensor.identity()
-    value = pathway_amplitude(0, 0, 0, 0, 0.0, 0.0, 1.0, basis, ident,
-                              iso=True)
+    value = iso_pathway_vector(basis, 1.0, ident)[pathway_index(0, 0, 0, 0)]
     expected = -2.0 * iso_average_four(*(basis.mu_eg,) * 4)
     assert value == pytest.approx(expected, abs=1e-14)
 
@@ -42,20 +41,6 @@ def test_zero_tensor_gives_zero_vector(basis):
     zero = params_to_tensor(np.zeros(16))
     vec = iso_pathway_vector(basis, 1.3, zero)
     assert np.max(np.abs(vec)) < 1e-15
-
-
-def test_causality(basis, gen):
-    ident = ProcessTensor.identity()
-    assert pathway_amplitude(0, 0, 0, 0, -1.0, 0.0, 1.0, basis, ident,
-                             gen=gen) == 0.0
-    assert pathway_amplitude(0, 0, 0, 0, 0.0, -1.0, 1.0, basis, ident,
-                             gen=gen) == 0.0
-
-
-def test_nonzero_delays_require_generator(basis):
-    ident = ProcessTensor.identity()
-    with pytest.raises(ValueError):
-        pathway_amplitude(0, 0, 0, 0, 10.0, 0.0, 1.0, basis, ident)
 
 
 def test_hermiticity_symmetry_of_pathway_vector(basis, gen, rng):
@@ -76,15 +61,6 @@ def test_linearity_in_tensor(basis, rng):
     v2 = iso_pathway_vector(basis, 0.8, params_to_tensor(x2))
     v12 = iso_pathway_vector(basis, 0.8, params_to_tensor(x1 + 0.5 * x2))
     assert np.allclose(v12, v1 + 0.5 * v2, atol=1e-13)
-
-
-def test_echo_time_damps_amplitude(basis, gen):
-    ident = ProcessTensor.identity()
-    at0 = pathway_amplitude(0, 0, 0, 0, 0.0, 0.0, 2.0, basis, ident, iso=True)
-    at50 = pathway_amplitude(0, 0, 0, 0, 0.0, 50.0, 2.0, basis, ident,
-                             gen=gen, iso=True)
-    assert abs(at50) < abs(at0)
-    assert abs(at50) > 0.0
 
 
 def test_signal_matches_linear_path(basis, gen, toolbox):
@@ -111,10 +87,19 @@ def test_verbatim_variant_differs_but_reconstructs(basis, gen, toolbox):
     assert np.allclose(rec[0], tensor.elements, atol=1e-10)
 
 
-def test_fixed_orientation_differs_from_average(basis):
-    ident = ProcessTensor.identity()
-    fixed = pathway_amplitude(0, 0, 0, 0, 0.0, 0.0, 2.0, basis, ident,
-                              iso=False)
-    avg = pathway_amplitude(0, 0, 0, 0, 0.0, 0.0, 2.0, basis, ident,
-                            iso=True)
-    assert fixed != pytest.approx(avg, rel=1e-3)
+def test_verbatim_switches_only_off_diagonal_routes(geometries, rng):
+    # the alternative reading touches only the off-diagonal doubly-excited
+    # route: every detection-diagonal (r == s) amplitude keeps its bits
+    diagonal = [pathway_index(*pqrs) for pqrs in PATHWAY_ORDER
+                if pqrs[2] == pqrs[3]]
+    off_diagonal = [pathway_index(*pqrs) for pqrs in PATHWAY_ORDER
+                    if pqrs[2] != pqrs[3]]
+    assert len(diagonal) == 8
+    for dimer in geometries:
+        basis = build_exciton_basis(dimer)
+        for gamma in (0.0, 0.7, 2.0):
+            tensor = params_to_tensor(rng.normal(size=16))
+            std = iso_pathway_vector(basis, gamma, tensor)
+            alt = iso_pathway_vector(basis, gamma, tensor, verbatim=True)
+            assert std[diagonal].tobytes() == alt[diagonal].tobytes()
+            assert np.any(std[off_diagonal] != alt[off_diagonal])
