@@ -149,36 +149,6 @@ class ProcessTensor:
         if self.ground_row is None:
             object.__setattr__(self, "ground_row", closure_ground_row(self.elements))
 
-    @classmethod
-    def identity(cls, waiting_time=0.0):
-        elems = np.zeros((2, 2, 2, 2), dtype=complex)
-        for n in (E, EP):
-            for m in (E, EP):
-                elems[n, m, n, m] = 1.0
-        return cls(waiting_time=waiting_time, elements=elems)
-
-    def apply(self, rho):
-        """Propagate a 2x2 single-exciton density-matrix block."""
-        return np.einsum("nmvu,vu->nm", self.elements, rho)
-
-    def compose(self, earlier: "ProcessTensor") -> "ProcessTensor":
-        """Tensor for the concatenated evolution self o earlier."""
-        elems = np.einsum("nmab,abvu->nmvu", self.elements, earlier.elements)
-        # amplitude parked in g stays there; add what self drains from the
-        # exciton-manifold output of earlier
-        ground = earlier.ground_row + np.einsum(
-            "ab,abvu->vu", self.ground_row, earlier.elements)
-        return ProcessTensor(self.waiting_time + earlier.waiting_time,
-                             elems, ground)
-
-    def hermiticity_defect(self):
-        return float(np.max(np.abs(
-            self.elements - np.conj(self.elements.transpose(1, 0, 3, 2)))))
-
-    def trace_defect(self):
-        tr = self.ground_row + self.elements[E, E] + self.elements[EP, EP]
-        return float(np.max(np.abs(tr - np.eye(2))))
-
 
 def closure_ground_row(elements):
     """chi_gg,nu mu from probability conservation over {g, e, ep}."""

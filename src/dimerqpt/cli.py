@@ -18,16 +18,15 @@ import sys
 
 import numpy as np
 
-from .bath import (build_redfield_generator, closure_ground_row,
-                   propagator_elements)
+from .bath import closure_ground_row
 from .config import (ExperimentConfig, config_to_dict, default_config,
                      load_config)
-from .ensemble import evaluate_ensemble, sample_members
+from .ensemble import (_geometry_map, _prepare, _propagators,
+                       evaluate_ensemble, sample_members)
 from .errors import ConfigError, DimerQptError
-from .isoaverage import build_m_blocks
-from .model import build_exciton_basis
-from .pulses import build_c_matrix
-from .reconstruct import reconstruct_rows, validate_tensors
+from .isoaverage import geometry_blocks, pathway_structure, solve_tensors
+from .pulses import kron_power4, kron_solve
+from .reconstruct import validate_tensors
 from .response import OMEGA_LABELS, PATHWAY_LABELS, SignalTable
 
 EXIT_OK = 0
@@ -315,12 +314,17 @@ def _write_tensor_csv(path, elements, grounds, t_grid):
 
 
 def cmd_reconstruct(config: ExperimentConfig):
-    basis = build_exciton_basis(config.dimer)
-    cmat = build_c_matrix(basis, config.toolbox)
+    # the configured dimer's engine arrays: its pulse generator and, for a
+    # homogeneous run, the propagator and geometry maps that made the
+    # signals, so each file is inverted with the C and M that synthesized it
+    nominal = _prepare([config.dimer], 0, config.bath, config.toolbox,
+                       config.t_grid)
+    base = nominal.base[0]
     if config.homogeneous_only:
-        gen = build_redfield_generator(basis, config.bath)
-        truth = propagator_elements(gen, config.t_grid)
+        structure = pathway_structure(config.verbatim_terms)
+        truth = _propagators(nominal)[0]
         truth_grounds = closure_ground_row(truth)
+        cond_c = np.linalg.cond(kron_power4(base))
     else:
         # member-wise: every member inverted with its own C and M
         results = evaluate_ensemble(_members(config), config.bath,
@@ -339,14 +343,15 @@ def cmd_reconstruct(config: ExperimentConfig):
             except ValueError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_IO
-            blocks = build_m_blocks(basis, gamma,
-                                    verbatim=config.verbatim_terms)
-            elements, grounds, _ = reconstruct_rows(table.values, cmat,
-                                                    blocks)
+            offset, full = _geometry_map(nominal, np.array([gamma]),
+                                         structure)
+            blocks = geometry_blocks(offset[0], full[0])
+            _, elements, grounds = solve_tensors(
+                kron_solve(base, table.values.T), blocks)
             max_err = max(np.max(np.abs(elements - truth)),
                           np.max(np.abs(grounds - truth_grounds)))
             report_lines.append(
-                f"gamma={tag}: cond(C)={cmat.condition_number:.6g} "
+                f"gamma={tag}: cond(C)={cond_c:.6g} "
                 f"cond(M)={blocks.condition_numbers} "
                 f"max_residual={max_err:.3e}")
         else:
@@ -355,7 +360,7 @@ def cmd_reconstruct(config: ExperimentConfig):
             report_lines.append(
                 f"gamma={tag}: member-wise ensemble average over "
                 f"{result.n_members} members, cond(C base)="
-                f"{cmat.base_condition_number:.6g}")
+                f"{np.linalg.cond(base):.6g}")
         diagnostics = validate_tensors(elements, grounds)
         for t, diag in zip(config.t_grid, diagnostics):
             report_lines.append(

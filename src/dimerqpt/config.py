@@ -22,6 +22,9 @@ from .pulses import PulseToolbox
 
 DEFAULT_GAMMAS = (0.0, 0.5, 1.0, 1.5, 2.0)
 
+# integer fields of the sections, with their least values
+_INTEGERS = {"ensemble.n_members": 1, "ensemble.seed": 0}
+
 
 def _require_finite(where, value):
     """Raise ConfigError naming ``where`` unless ``value`` is a finite real
@@ -132,9 +135,15 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             raise ConfigError(f"{name}: must be an object")
         fields = {f.name for f in dataclasses.fields(cls)}
         for key, value in section.items():
+            where = f"{name}.{key}"
             if key not in fields:
-                raise ConfigError(f"{name}.{key}: unknown field")
-            _require_finite(f"{name}.{key}", value)
+                raise ConfigError(f"{where}: unknown field")
+            _require_finite(where, value)
+            least = _INTEGERS.get(where)
+            if least is not None and not (isinstance(value, int)
+                                          and value >= least):
+                raise ConfigError(f"{where}: must be an integer >= {least}, "
+                                  f"got {value!r}")
         try:
             kwargs[name] = cls(**section)
         except (TypeError, ValueError) as exc:

@@ -6,14 +6,15 @@ Each member has its own exciton basis, rates, pulse-coefficient matrix and
 geometry blocks (the mixing angle shifts with the disorder).
 
 ``evaluate_ensemble`` computes all of them as arrays over members, ``_CHUNK``
-members at a time.  Once per chunk: the closed-form basis, the 4x4 dipole
-Gram matrix and the 32 isotropic dipole factors made from it, the secular
-propagator over the waiting-time grid, and the 2x2 pulse generator and its
-inverse.  Per Gamma: the geometry map ``table @ (S0 + Gamma dS)`` (with the
-fixed structure of ``isoaverage.pathway_structure``), its checks, the
-forward map through C = base^(x)4 and, for tensors, the inversion through
-C^-1 = (base^-1)^(x)4 and the three block solves.  Every step acts on each
-member alone (elementwise, or one BLAS/LAPACK call per member), so a
+members at a time.  Once per chunk: the closed-form basis, the 32 isotropic
+dipole factors (``response.iso_dipole_factors``), the secular propagator
+over the waiting-time grid and the 2x2 pulse generator.  Per Gamma: the
+geometry map ``table @ (S0 + Gamma dS)`` (with the fixed structure of
+``isoaverage.pathway_structure``) and its checks, the forward map through
+C = base^(x)4 and, for tensors, the two-stage inverse that
+``reconstruct.reconstruct_rows`` also runs: ``pulses.kron_solve``
+(C^-1 = (base^-1)^(x)4), then ``isoaverage.solve_tensors``.  Every step acts
+on each member alone (elementwise, or one BLAS/LAPACK call per member), so a
 member's arrays do not depend on the members evaluated with it, and the
 means sum members in order: runs are bit-identical for a given member list.
 Ensemble reconstruction averages member-wise reconstructed tensors, a convex
@@ -24,15 +25,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bath import (BathParams, ProcessTensor, closure_ground_row,
-                   secular_dynamics, secular_rates)
+from .bath import (BathParams, ProcessTensor, secular_dynamics,
+                   secular_rates)
 from .errors import DegenerateDimerError
-from .isoaverage import (geometry_blocks, params_to_elements,
-                         pathway_structure, solve_chi_blocks)
-from .model import DIPOLE_LABELS, DimerParams, diagonalize, dipole_vectors
-from .pulses import (PulseToolbox, check_generators, kron_power4,
+from .isoaverage import (N_PARAMS, geometry_blocks, params_to_elements,
+                         pathway_structure, solve_tensors)
+from .model import DimerParams, diagonalize, dipole_vectors
+from .pulses import (PulseToolbox, check_generators, kron_power4, kron_solve,
                      pulse_coefficient)
-from .response import DIPOLE_TUPLES, SignalTable
+from .response import SignalTable, iso_dipole_factors
 from .units import to_angular
 
 # members per array pass: bounds the (members, 16, T) temporaries (one is
@@ -42,10 +43,6 @@ _CHUNK = 1024
 # real tensor parameters a secular propagator can make nonzero: the four
 # populations, then Re and Im of the e-ep coherence
 _SECULAR_PARAMS = [0, 1, 4, 5, 10, 14]
-
-# dipole indices (a, b, c, d) of each isotropic factor, DIPOLE_TUPLES order
-_FACTOR_INDEX = np.array([[DIPOLE_LABELS.index(label) for label in labels]
-                          for labels in DIPOLE_TUPLES]).T
 
 
 @dataclass(frozen=True)
@@ -89,7 +86,6 @@ class _Chunk:
     start: int
     table: np.ndarray       # (n, 32) isotropic dipole factors
     base: np.ndarray        # (n, 2, 2) single-pulse coefficients c[w, p]
-    base_inv: np.ndarray    # (n, 2, 2)
     params: np.ndarray      # (n, 6, T) propagator, _SECULAR_PARAMS order
 
 
@@ -113,11 +109,6 @@ def _prepare(members, start, bath, toolbox, waiting_times):
     _raise_first(np.linalg.norm(mu[:, 0], axis=-1) == 0.0,
                  DegenerateDimerError,
                  "mu_eg vanishes: angle reference undefined", start)
-    gram = (mu[:, :, None, :] * mu[:, None, :, :]).sum(axis=-1)
-    a, b, c, d = _FACTOR_INDEX
-    # collinear isotropic average <(a.z)(b.z)(c.z)(d.z)>
-    table = (gram[:, a, b] * gram[:, c, d] + gram[:, a, c] * gram[:, b, d]
-             + gram[:, a, d] * gram[:, b, c]) / 15.0
     base = pulse_coefficient(energies[:, None, :],
                              np.array(toolbox.carriers)[:, None], toolbox)
     check_generators(base, toolbox, first_member=start)
@@ -127,14 +118,14 @@ def _prepare(members, start, bath, toolbox, waiting_times):
                                   waiting_times)
     params = np.stack([pop[..., 0, 0], pop[..., 1, 0], pop[..., 0, 1],
                        pop[..., 1, 1], phase.real, phase.imag], axis=1)
-    return _Chunk(start=start, table=table, base=base,
-                  base_inv=np.linalg.inv(base), params=params)
+    return _Chunk(start=start, table=iso_dipole_factors(mu), base=base,
+                  params=params)
 
 
-def _evaluate(chunk, gamma, structure, want_tensors):
-    """Per-member arrays of a chunk at Gamma (n,): signals and pathway
-    vectors (n, 16, T), and with ``want_tensors`` the member-reconstructed
-    elements (n, T, 2, 2, 2, 2) and ground rows (n, T, 2, 2), else None."""
+def _geometry_map(chunk, gamma, structure):
+    """The unchecked geometry maps of a chunk's members at Gamma (n,):
+    offsets (n, 16) and maps (n, 16 pathways, 16 params), as
+    ``isoaverage.geometry_blocks`` takes them."""
     n = len(chunk.table)
     weights = np.concatenate([chunk.table, gamma[:, None] * chunk.table],
                              axis=1)
@@ -143,16 +134,30 @@ def _evaluate(chunk, gamma, structure, want_tensors):
     # can round a member's row differently in a different batch
     vectors = np.matmul(weights[:, None, :], structure).view(complex)
     vectors = vectors.reshape(n, 16, 17)
-    offset = vectors[..., 0]
-    full = vectors[..., 1:] - vectors[..., :1]
-    blocks = geometry_blocks(offset, full, gamma, first_member=chunk.start)
+    return vectors[..., 0], vectors[..., 1:] - vectors[..., :1]
+
+
+def _propagators(chunk):
+    """The members' secular propagators: elements (n, T, 2, 2, 2, 2)."""
+    n, _, count = chunk.params.shape
+    params = np.zeros((n, count, N_PARAMS))
+    params[..., _SECULAR_PARAMS] = chunk.params.transpose(0, 2, 1)
+    return params_to_elements(params)
+
+
+def _evaluate(chunk, gamma, structure, want_tensors):
+    """Per-member arrays of a chunk at Gamma (n,): signals and pathway
+    vectors (n, 16, T), and with ``want_tensors`` the member-reconstructed
+    elements (n, T, 2, 2, 2, 2) and ground rows (n, T, 2, 2), else None."""
+    offset, full = _geometry_map(chunk, gamma, structure)
+    blocks = geometry_blocks(offset, full, first_member=chunk.start)
     pathways = full[..., _SECULAR_PARAMS] @ chunk.params + offset[..., None]
     signals = kron_power4(chunk.base) @ pathways
     if not want_tensors:
         return signals, pathways, None, None
-    params = solve_chi_blocks(kron_power4(chunk.base_inv) @ signals, blocks)
-    elements = params_to_elements(params.transpose(0, 2, 1))
-    return signals, pathways, elements, closure_ground_row(elements)
+    _, elements, grounds = solve_tensors(kron_solve(chunk.base, signals),
+                                         blocks)
+    return signals, pathways, elements, grounds
 
 
 def _add_in_order(total, part):

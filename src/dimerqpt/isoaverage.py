@@ -24,21 +24,6 @@ from .model import E, EP, ExcitonBasis
 #: largest condition number a geometry block may have and still be inverted
 COND_THRESHOLD = 1e12
 
-_WEIGHTS = np.array([[4.0, -1.0, -1.0],
-                     [-1.0, 4.0, -1.0],
-                     [-1.0, -1.0, 4.0]]) / 30.0
-
-# all four lab fields along z: each lab pair pattern is (z.z)(z.z) = 1
-_ZZZZ_WEIGHTS = np.ones(3) @ _WEIGHTS
-
-
-def _pair_patterns(v1, v2, v3, v4):
-    return np.array([
-        np.dot(v1, v2) * np.dot(v3, v4),
-        np.dot(v1, v3) * np.dot(v2, v4),
-        np.dot(v1, v4) * np.dot(v2, v3),
-    ])
-
 
 def iso_average_four(a, b, c, d):
     """Orientational average of (a.z)(b.z)(c.z)(d.z).
@@ -47,7 +32,8 @@ def iso_average_four(a, b, c, d):
     polarization; the average is
     [(a.b)(c.d) + (a.c)(b.d) + (a.d)(b.c)] / 15.
     """
-    return float(_ZZZZ_WEIGHTS @ _pair_patterns(a, b, c, d))
+    return float(np.dot(a, b) * np.dot(c, d) + np.dot(a, c) * np.dot(b, d)
+                 + np.dot(a, d) * np.dot(b, c)) / 15.0
 
 
 # ---------------------------------------------------------------------------
@@ -167,14 +153,9 @@ class MBlocks:
     m_ee: np.ndarray
     m_epep: np.ndarray
     m_eep: np.ndarray
-    gamma: float
     # tensor-independent part of the pathway vector; zero for the default
     # term structure, nonzero in the alternative published reading
-    offset: np.ndarray = None
-
-    def __post_init__(self):
-        if self.offset is None:
-            object.__setattr__(self, "offset", np.zeros(16, dtype=complex))
+    offset: np.ndarray
 
     @property
     def condition_numbers(self):
@@ -198,7 +179,7 @@ class MBlocks:
                 + self.offset)
 
 
-def geometry_blocks(offset, full, gamma, first_member=None) -> MBlocks:
+def geometry_blocks(offset, full, first_member=None) -> MBlocks:
     """Checked geometry blocks of maps ``full`` (..., 16 pathways, 16 params)
     with ``offset`` (..., 16).
 
@@ -228,7 +209,7 @@ def geometry_blocks(offset, full, gamma, first_member=None) -> MBlocks:
             message = f"member {first_member + member}: {message}"
         raise error(message)
     return MBlocks(m_ee=blocks[0], m_epep=blocks[1], m_eep=blocks[2],
-                   gamma=gamma, offset=offset)
+                   offset=offset)
 
 
 def build_m_blocks(basis: ExcitonBasis, gamma: float,
@@ -238,7 +219,9 @@ def build_m_blocks(basis: ExcitonBasis, gamma: float,
     Each column is the averaged pathway vector generated by one unit vector
     of the real tensor parametrization at zero coherence and echo times;
     all of them come out of one pass over the pathways on the stacked probe
-    tensor.  The blocks are checked by ``geometry_blocks``.
+    tensor.  The blocks are checked by ``geometry_blocks``.  The commands
+    use the ensemble engine's map ``table @ (S0 + Gamma dS)`` instead; this
+    probe pass is the independent oracle the tests hold it to.
     """
     from .response import iso_pathway_vector
 
@@ -248,7 +231,7 @@ def build_m_blocks(basis: ExcitonBasis, gamma: float,
     # averaged pathway vector is strictly linear in the parameters; the
     # offset at zero parameters is subtracted anyway as a guard.
     return geometry_blocks(vectors[:, 0].copy(),
-                           vectors[:, 1:] - vectors[:, :1], gamma)
+                           vectors[:, 1:] - vectors[:, :1])
 
 
 @functools.cache
@@ -292,6 +275,18 @@ def solve_chi_blocks(pathways, blocks: MBlocks):
                                                 blocks.m_eep)):
         params[..., cols, :] = np.linalg.solve(block, p[..., rows, :]).real
     return params
+
+
+def solve_tensors(pathways, blocks: MBlocks):
+    """The second stage of the inversion, for pathway columns (..., 16, n).
+
+    Returns the real parameters (..., 16, n) of ``solve_chi_blocks``, the
+    Hermitian elements they give (..., n, 2, 2, 2, 2) and their trace-closing
+    ground rows (..., n, 2, 2).
+    """
+    params = solve_chi_blocks(pathways, blocks)
+    elements = params_to_elements(np.swapaxes(params, -1, -2))
+    return params, elements, closure_ground_row(elements)
 
 
 def closed_form_block_ee(basis: ExcitonBasis, gamma: float):

@@ -76,19 +76,9 @@ class ExcitonBasis:
         return {"eg": self.mu_eg, "epg": self.mu_epg,
                 "fe": self.mu_fe, "fep": self.mu_fep}[label]
 
-    def exciton_energy(self, index):
-        return self.energy_e if index == E else self.energy_ep
-
     def splitting(self):
         """Energy gap between the two single-exciton states, cm^-1."""
         return self.energy_e - self.energy_ep
-
-    def transition_freq(self, pair):
-        """Frequency (cm^-1) of the coherence |i><j| for optical state pairs."""
-        energies = {"g": 0.0, "e": self.energy_e, "ep": self.energy_ep,
-                    "f": self.energy_f}
-        i, j = pair
-        return energies[i] - energies[j]
 
 
 def diagonalize(site_energy_1, site_energy_2, coupling_j):

@@ -107,6 +107,15 @@ def kron_power4(base):
     return out
 
 
+def kron_solve(base, signals):
+    """Solve C x = signals for C = base^(x)4: x = (base^-1)^(x)4 signals.
+
+    ``base`` is (..., 2, 2) and ``signals`` one 16-vector or columns
+    (..., 16, n); a stack of generators solves a stack of columns.
+    """
+    return kron_power4(np.linalg.inv(base)) @ signals
+
+
 @dataclass(frozen=True)
 class CMatrix:
     """Four-pulse probability matrix with its 2x2 generator.
@@ -128,8 +137,9 @@ class CMatrix:
         return float(np.linalg.cond(self.base_2x2))
 
     def solve(self, signals):
-        """Recover the 16 pathway amplitudes from the 16 measured signals."""
-        return np.linalg.solve(self.entries, signals)
+        """Recover the 16 pathway amplitudes from the 16 measured signals
+        (``kron_solve`` with the generator)."""
+        return kron_solve(self.base_2x2, signals)
 
 
 def build_c_matrix(basis: ExcitonBasis, toolbox: PulseToolbox) -> CMatrix:

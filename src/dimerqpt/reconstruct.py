@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bath import ProcessTensor, closure_ground_row
-from .isoaverage import MBlocks, params_to_elements, solve_chi_blocks
+from .bath import ProcessTensor
+from .isoaverage import MBlocks, solve_tensors
 from .model import E, EP
 from .pulses import CMatrix
 
@@ -43,12 +43,6 @@ def _choi_stack(elements, grounds):
 def choi_matrix(tensor: ProcessTensor):
     """9x9 Choi matrix of the map on span{g, e, ep} (see ``_choi_stack``)."""
     return _choi_stack(tensor.elements[None], tensor.ground_row[None])[0]
-
-
-def min_choi_eigenvalue(tensor: ProcessTensor):
-    """(minimum eigenvalue of the Hermitian part, Hermiticity defect)."""
-    diag = validate_tensor(tensor)
-    return diag.min_choi_eig, diag.choi_hermiticity_defect
 
 
 @dataclass(frozen=True)
@@ -103,8 +97,8 @@ def validate_tensor(tensor: ProcessTensor) -> TensorDiagnostics:
 def invert_signals(signals, cmatrix: CMatrix, ridge=0.0):
     """Signals -> pathway amplitudes, one 16-vector or (16, n) columns.
 
-    With zero ridge this is the exact solve; a positive ridge switches to
-    Tikhonov-regularized least squares for noisy input.
+    With zero ridge this is the exact solve ``CMatrix.solve``; a positive
+    ridge switches to Tikhonov-regularized least squares for noisy input.
     """
     b = np.asarray(signals, dtype=complex)
     if ridge == 0.0:
@@ -118,18 +112,18 @@ def reconstruct_rows(signals, cmatrix: CMatrix, mblocks: MBlocks, ridge=0.0):
     """Two-stage inversion of every waiting time at once.
 
     ``signals`` is (n, 16) complex, one row per waiting time with columns
-    in OMEGA_LABELS order.  One C solve with (16, n) right-hand sides gives
-    the pathway vectors, one solve per geometry block the (16, n) real
-    parameters.  Returns elements (n, 2, 2, 2, 2), ground rows (n, 2, 2)
-    and pathway residuals (n,): the mismatch between the recovered pathway
-    vector and the geometry blocks applied to the real parameters actually
-    kept, nonzero when the input is inconsistent with a Hermitian tensor.
+    in OMEGA_LABELS order.  ``invert_signals`` with (16, n) right-hand sides
+    gives the pathway vectors, ``solve_tensors`` the (16, n) real parameters
+    and the tensors: the two stages the ensemble engine inverts with.
+    Returns elements (n, 2, 2, 2, 2), ground rows (n, 2, 2) and pathway
+    residuals (n,): the mismatch between the recovered pathway vector and
+    the geometry blocks applied to the real parameters actually kept,
+    nonzero when the input is inconsistent with a Hermitian tensor.
     """
     pathways = invert_signals(np.asarray(signals).T, cmatrix, ridge=ridge)
-    params = solve_chi_blocks(pathways, mblocks)
+    params, elements, grounds = solve_tensors(pathways, mblocks)
     residuals = np.max(np.abs(mblocks.apply(params.T) - pathways.T), axis=1)
-    elements = params_to_elements(params.T)
-    return elements, closure_ground_row(elements), residuals
+    return elements, grounds, residuals
 
 
 def reconstruct_single(signal_row, cmatrix: CMatrix, mblocks: MBlocks,

@@ -18,8 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .bath import ProcessTensor
-from .isoaverage import iso_average_four, pathway_index
-from .model import E, EP, ExcitonBasis
+from .isoaverage import pathway_index
+from .model import DIPOLE_LABELS, E, EP, ExcitonBasis
 
 _GL = ("eg", "epg")            # ground -> exciton dipole label per index
 _FC = ("fep", "fe")            # f-manifold dipole appearing in channel r
@@ -68,6 +68,10 @@ def pathway_terms(p, q, r, s, verbatim=False):
 DIPOLE_TUPLES = sorted({term.dipoles for pqrs in PATHWAY_ORDER
                         for term in pathway_terms(*pqrs)})
 
+# dipole indices (a, b, c, d) of each isotropic factor, DIPOLE_TUPLES order
+_FACTOR_INDEX = np.array([[DIPOLE_LABELS.index(label) for label in labels]
+                          for labels in DIPOLE_TUPLES]).T
+
 
 def detection_weight(kind, gamma):
     """Fluorescence weight of a pathway family in the detection operator."""
@@ -88,14 +92,29 @@ def _chi_value(term: PathwayTerm, p, q, tensor: ProcessTensor):
     return tensor.elements[n, m, q, p]
 
 
+def iso_dipole_factors(mu):
+    """The isotropic dipole factors (..., 32), in DIPOLE_TUPLES order, of
+    dipoles ``mu`` (..., 4, 3) in DIPOLE_LABELS order.
+
+    Each is the collinear average <(a.z)(b.z)(c.z)(d.z)> =
+    [(a.b)(c.d) + (a.c)(b.d) + (a.d)(b.c)] / 15, read off the Gram matrix
+    of the four dipoles.
+    """
+    gram = (mu[..., :, None, :] * mu[..., None, :, :]).sum(axis=-1)
+    a, b, c, d = _FACTOR_INDEX
+    return (gram[..., a, b] * gram[..., c, d]
+            + gram[..., a, c] * gram[..., b, d]
+            + gram[..., a, d] * gram[..., b, c]) / 15.0
+
+
 def projection_table(basis: ExcitonBasis, iso=True):
     """Isotropic average of the dipole factor of every pathway term, keyed
-    by its four dipole labels.  Only the isotropic average is supported:
-    any other ``iso`` raises ValueError."""
+    by its four dipole labels (``iso_dipole_factors``).  Only the isotropic
+    average is supported: any other ``iso`` raises ValueError."""
     if iso is not True:
         raise ValueError("only the isotropic dipole average is supported")
-    return {labels: iso_average_four(*(basis.dipole(lab) for lab in labels))
-            for labels in DIPOLE_TUPLES}
+    mu = np.array([basis.dipole(label) for label in DIPOLE_LABELS])
+    return dict(zip(DIPOLE_TUPLES, iso_dipole_factors(mu).tolist()))
 
 
 def iso_pathway_vector(basis: ExcitonBasis, gamma, tensor: ProcessTensor,
@@ -127,4 +146,3 @@ class SignalTable:
 
     t_grid: np.ndarray            # (n,) fs
     values: np.ndarray            # (n, 16) complex, columns in OMEGA_LABELS order
-    omega_labels: tuple = tuple(OMEGA_LABELS)

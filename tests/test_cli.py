@@ -16,16 +16,20 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+import dimerqpt
 from dimerqpt.bath import (BathParams, build_redfield_generator,
                            propagate_process_tensor)
-from dimerqpt import bath, cli, ensemble, isoaverage, reconstruct, response
+from dimerqpt import (bath, cli, ensemble, isoaverage, model, pulses,
+                      reconstruct, response)
 from dimerqpt.cli import _parse_tensor_csv, main
 from dimerqpt.config import (config_from_dict, config_to_dict, default_config,
                              load_config, save_config)
 from dimerqpt.ensemble import EnsembleSpec, sample_members
 from dimerqpt.errors import ConfigError
+from dimerqpt.isoaverage import build_m_blocks
 from dimerqpt.model import DimerParams, build_exciton_basis
-from dimerqpt.pulses import PulseToolbox
+from dimerqpt.pulses import PulseToolbox, build_c_matrix
+from dimerqpt.reconstruct import reconstruct_rows
 
 
 @pytest.fixture
@@ -129,16 +133,25 @@ def test_non_finite_config_number_rejected(tmp_path, capsys, key, value):
     ("gamma_list", ["x"], "gamma_list[0]"),
     ("output_dir", 5, "output_dir"),
     ("verbatim_terms", "false", "verbatim_terms"),
-    ("homogeneous_only", 1, "homogeneous_only")],
+    ("homogeneous_only", 1, "homogeneous_only"),
+    ("ensemble.n_members", 2.5, "ensemble.n_members"),
+    ("ensemble.n_members", 2.0, "ensemble.n_members"),
+    ("ensemble.seed", 1.5, "ensemble.seed"),
+    ("ensemble.seed", -1, "ensemble.seed")],
     ids=lambda x: repr(x) if not isinstance(x, str) else x)
 def test_malformed_config_value_rejected(tmp_path, capsys, monkeypatch, key,
                                          value, where):
     """A JSON value of the wrong kind exits 2 with ``configuration error:
-    <key>: ...``, no traceback, and writes nothing."""
+    <key>: ...``, no traceback, and writes nothing.  A dotted key names a
+    field of a section."""
     data = config_to_dict(default_config(output_dir="out"))
     data["homogeneous_only"] = True
     data["t_grid"] = [120.0, 200.0]
-    data[key] = value
+    *sections, field = key.split(".")
+    target = data
+    for section in sections:
+        target = target[section]
+    target[field] = value
     (tmp_path / "cfg.json").write_text(json.dumps(data))
     monkeypatch.chdir(tmp_path)
     assert main(["simulate", "--config", "cfg.json"]) == 2
@@ -391,6 +404,55 @@ def test_ensemble_commands_run_the_engine_once(tmp_path, monkeypatch):
         assert main([command, "--config", path]) == 0
         assert len(calls) == 1
         assert calls[0][4] == cfg.gamma_list
+
+
+# single-dimer builders that no command calls: the tests' oracles
+_ORACLE_BUILDERS = ("build_m_blocks", "build_c_matrix", "build_exciton_basis",
+                    "build_redfield_generator", "propagate_process_tensor",
+                    "propagator_elements", "reconstruct_rows")
+
+
+@pytest.mark.parametrize("noise, verbatim, codes", [
+    (None, False, (0, 0, [0, 0])),
+    (None, True, (0, 0, [0, 0])),
+    (0.01, False, (0, 1, [1, 1]))])
+def test_homogeneous_commands_run_one_path(small_config, tmp_path,
+                                           monkeypatch, noise, verbatim,
+                                           codes):
+    """Homogeneous simulate -> reconstruct -> validate call none of the
+    single-dimer builders: reconstruct inverts each signal file with the
+    engine's own C and M.  Its tensors agree with reconstruct_rows and the
+    probe-built build_m_blocks applied to the same files."""
+    cfg = replace(small_config, noise=noise, verbatim_terms=verbatim)
+    path = str(tmp_path / "cfg.json")
+    save_config(cfg, path)
+    tensor_paths = [os.path.join(cfg.output_dir, f"tensors_gamma{g:g}.csv")
+                    for g in cfg.gamma_list]
+
+    def builder(*args, **kwargs):
+        raise AssertionError("single-dimer builder called")
+
+    with monkeypatch.context() as patch:
+        for module in (dimerqpt, bath, cli, ensemble, isoaverage, model,
+                       pulses, reconstruct, response):
+            for name in _ORACLE_BUILDERS:
+                if hasattr(module, name):
+                    patch.setattr(module, name, builder)
+        got = (main(["simulate", "--config", path]),
+               main(["reconstruct", "--config", path]),
+               [main(["validate", tensor_path])
+                for tensor_path in tensor_paths])
+    assert got == codes
+    basis = build_exciton_basis(cfg.dimer)
+    cmat = build_c_matrix(basis, cfg.toolbox)
+    for gamma, tensor_path in zip(cfg.gamma_list, tensor_paths):
+        table = cli._read_signal_table(
+            os.path.join(cfg.output_dir, f"signals_gamma{gamma:g}.csv"), cfg)
+        elements, grounds, _ = reconstruct_rows(
+            table.values, cmat, build_m_blocks(basis, gamma, verbatim))
+        _, got_elements, got_grounds = _parse_tensor_csv(tensor_path)
+        assert np.max(np.abs(got_elements - elements)) <= 1e-12
+        assert np.max(np.abs(got_grounds - grounds)) <= 1e-12
 
 
 def _tensor_file_error(config_path, small_config, capsys, edit):

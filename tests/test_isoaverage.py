@@ -13,6 +13,7 @@ from dimerqpt.isoaverage import (COND_THRESHOLD, N_PARAMS, build_m_blocks,
                                  params_to_tensor, pathway_index,
                                  solve_chi_blocks, tensor_to_params)
 from dimerqpt.model import DimerParams, build_exciton_basis
+from dimerqpt.reconstruct import validate_tensor
 from dimerqpt.response import iso_pathway_vector
 
 
@@ -69,8 +70,9 @@ def test_params_round_trip(rng):
     params = rng.normal(size=N_PARAMS)
     tensor = params_to_tensor(params, waiting_time=17.0)
     assert np.allclose(tensor_to_params(tensor), params, atol=1e-15)
-    assert tensor.hermiticity_defect() < 1e-15
-    assert tensor.trace_defect() < 1e-15
+    diag = validate_tensor(tensor)
+    assert diag.hermiticity_defect < 1e-15
+    assert diag.trace_defect < 1e-15
     assert tensor.waiting_time == 17.0
 
 

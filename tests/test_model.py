@@ -63,14 +63,6 @@ def test_dipole_sum_rule(dimer, basis):
                                   abs=1e-12)
 
 
-def test_f_transition_frequencies_swap(basis):
-    # the f <- e gap equals the ep energy and vice versa
-    assert basis.transition_freq(("f", "e")) == pytest.approx(
-        basis.energy_ep, abs=1e-9)
-    assert basis.transition_freq(("f", "ep")) == pytest.approx(
-        basis.energy_e, abs=1e-9)
-
-
 def test_degenerate_dimer_rejected():
     with pytest.raises(DegenerateDimerError):
         DimerParams(site_energy_1=12800.0, site_energy_2=12800.0,

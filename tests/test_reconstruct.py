@@ -8,10 +8,9 @@ from dimerqpt.isoaverage import build_m_blocks
 from dimerqpt.model import build_exciton_basis
 from dimerqpt.pulses import build_c_matrix
 from dimerqpt.reconstruct import (_CHOI_CHUNK, choi_matrix, invert_signals,
-                                  min_choi_eigenvalue, reconstruct,
-                                  reconstruct_rows, reconstruct_single,
-                                  tensor_distance, validate_tensor,
-                                  validate_tensors)
+                                  reconstruct, reconstruct_rows,
+                                  reconstruct_single, tensor_distance,
+                                  validate_tensor, validate_tensors)
 from dimerqpt.response import SignalTable, iso_pathway_vector
 
 
@@ -57,18 +56,19 @@ def random_lindblad_tensor(rng, waiting_time=1.0):
 
 def test_lindblad_oracle_is_physical(rng):
     for _ in range(5):
-        tensor = random_lindblad_tensor(rng)
-        assert tensor.hermiticity_defect() < 1e-12
-        assert tensor.trace_defect() < 1e-12
-        diag = validate_tensor(tensor)
+        diag = validate_tensor(random_lindblad_tensor(rng))
+        assert diag.hermiticity_defect < 1e-12
+        assert diag.trace_defect < 1e-12
         assert diag.min_choi_eig > -1e-12
 
 
 def test_choi_of_identity_is_positive():
-    ident = ProcessTensor.identity()
-    min_eig, herm = min_choi_eigenvalue(ident)
-    assert herm < 1e-15
-    assert min_eig == pytest.approx(0.0, abs=1e-14)
+    # elements[n, m, nu, mu] = delta(n, nu) delta(m, mu)
+    ident = ProcessTensor(waiting_time=0.0, elements=np.eye(
+        4, dtype=complex).reshape(2, 2, 2, 2))
+    diag = validate_tensor(ident)
+    assert diag.choi_hermiticity_defect < 1e-15
+    assert diag.min_choi_eig == pytest.approx(0.0, abs=1e-14)
     c = choi_matrix(ident)
     assert c.shape == (9, 9)
     # the three preserved diagonal routes g->g, e->e, ep->ep
@@ -100,11 +100,10 @@ def test_choi_flags_nonpositive_map():
     for n in (0, 1):
         for m in (0, 1):
             elems[n, m, m, n] = 1.0
-    swap = ProcessTensor(waiting_time=0.0, elements=elems)
-    assert swap.hermiticity_defect() < 1e-15
-    assert swap.trace_defect() < 1e-15
-    min_eig, _ = min_choi_eigenvalue(swap)
-    assert min_eig < -0.5
+    diag = validate_tensor(ProcessTensor(waiting_time=0.0, elements=elems))
+    assert diag.hermiticity_defect < 1e-15
+    assert diag.trace_defect < 1e-15
+    assert diag.min_choi_eig < -0.5
 
 
 def test_invert_signals_exact_and_ridge(basis, toolbox, rng):
@@ -222,9 +221,11 @@ def test_validate_tensors_matches_per_tensor_reference(rng, n):
                                      ground_row=ground))
     reference = []
     for tensor in tensors:
+        el, gr = tensor.elements, tensor.ground_row
         c = choi_matrix(tensor)
         reference.append([
-            tensor.hermiticity_defect(), tensor.trace_defect(),
+            np.max(np.abs(el - np.conj(el.transpose(1, 0, 3, 2)))),
+            np.max(np.abs(gr + el[0, 0] + el[1, 1] - np.eye(2))),
             np.min(np.linalg.eigvalsh(0.5 * (c + c.conj().T))),
             np.max(np.abs(c - c.conj().T))])
     stacked = validate_tensors(np.array([t.elements for t in tensors]),

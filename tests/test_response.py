@@ -30,7 +30,8 @@ def test_identity_tensor_diagonal_amplitude(basis):
     # prepared population (e,e), detected on channel (e,e), gamma = 1:
     # bleach contributes -1 and emission -1, the doubly-excited route is
     # switched off, so the amplitude is -2 <(mu_eg . z)^4>
-    ident = ProcessTensor.identity()
+    ident = ProcessTensor(waiting_time=0.0, elements=np.eye(
+        4, dtype=complex).reshape(2, 2, 2, 2))
     value = iso_pathway_vector(basis, 1.0, ident)[pathway_index(0, 0, 0, 0)]
     expected = -2.0 * iso_average_four(*(basis.mu_eg,) * 4)
     assert value == pytest.approx(expected, abs=1e-14)
