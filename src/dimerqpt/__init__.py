@@ -6,8 +6,8 @@ from .bath import (BathParams, ProcessTensor, RedfieldGenerator,
                    propagate_process_tensor, spectral_density)
 from .config import (ExperimentConfig, config_from_dict, config_to_dict,
                      default_config, load_config, save_config)
-from .ensemble import (EnsembleSpec, evaluate_ensemble, evaluate_member,
-                       run_ensemble, sample_members, synthesize_signal_table)
+from .ensemble import (EnsembleSpec, evaluate_ensemble, run_ensemble,
+                       sample_members, synthesize_signal_table)
 from .errors import (ConfigError, DegenerateDimerError, DimerQptError,
                      SingularGeometryError, SingularToolboxError)
 from .isoaverage import (MBlocks, build_m_blocks, iso_average_four,

@@ -18,14 +18,11 @@ import sys
 
 import numpy as np
 
-from .bath import closure_ground_row
 from .config import (ExperimentConfig, config_to_dict, default_config,
                      load_config)
-from .ensemble import (_geometry_map, _prepare, _propagators,
-                       evaluate_ensemble, sample_members)
+from .ensemble import (evaluate_ensemble, invert, prepare, propagators,
+                       sample_members)
 from .errors import ConfigError, DimerQptError
-from .isoaverage import geometry_blocks, pathway_structure, solve_tensors
-from .pulses import kron_power4, kron_solve
 from .reconstruct import validate_tensors
 from .response import OMEGA_LABELS, PATHWAY_LABELS, SignalTable
 
@@ -295,14 +292,17 @@ def _read_rows(path, header, slots, key_name):
 
 
 def _read_signal_table(path, config):
-    """Signal CSV -> SignalTable on the configuration's waiting times."""
+    """Signal CSV -> SignalTable on the configuration's exact waiting times."""
     t_grid, values = _read_rows(path, _SIGNAL_HEADER, _OMEGA_COLUMN,
                                 "omega_tuple")
     expected = np.asarray(config.t_grid, dtype=float)
-    if t_grid.shape != expected.shape or not np.allclose(t_grid, expected):
+    if not np.array_equal(t_grid, expected):
+        # both are strictly increasing, so some T is in only one of them
+        stray = np.setxor1d(t_grid, expected)[0].item()
+        side = "configuration" if stray in expected else "file"
         raise ValueError(
             f"{path}: waiting-time grid does not match the configuration "
-            f"({len(t_grid)} rows vs {len(expected)} expected)")
+            f"(T_fs={stray!r} is only in the {side})")
     return SignalTable(t_grid=t_grid, values=values)
 
 
@@ -314,17 +314,12 @@ def _write_tensor_csv(path, elements, grounds, t_grid):
 
 
 def cmd_reconstruct(config: ExperimentConfig):
-    # the configured dimer's engine arrays: its pulse generator and, for a
-    # homogeneous run, the propagator and geometry maps that made the
-    # signals, so each file is inverted with the C and M that synthesized it
-    nominal = _prepare([config.dimer], 0, config.bath, config.toolbox,
-                       config.t_grid)
-    base = nominal.base[0]
+    # the configured dimer's engine arrays: for a homogeneous run, the C, M
+    # and propagator that made the signals, so each file inverts with them
+    nominal = prepare([config.dimer], 0, config.bath, config.toolbox,
+                      config.t_grid)
     if config.homogeneous_only:
-        structure = pathway_structure(config.verbatim_terms)
-        truth = _propagators(nominal)[0]
-        truth_grounds = closure_ground_row(truth)
-        cond_c = np.linalg.cond(kron_power4(base))
+        truth, truth_grounds = (array[0] for array in propagators(nominal))
     else:
         # member-wise: every member inverted with its own C and M
         results = evaluate_ensemble(_members(config), config.bath,
@@ -343,15 +338,17 @@ def cmd_reconstruct(config: ExperimentConfig):
             except ValueError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_IO
-            offset, full = _geometry_map(nominal, np.array([gamma]),
-                                         structure)
-            blocks = geometry_blocks(offset[0], full[0])
-            _, elements, grounds = solve_tensors(
-                kron_solve(base, table.values.T), blocks)
+            with np.errstate(over="ignore", invalid="ignore"):
+                blocks, (elements,), (grounds,) = invert(
+                    nominal, np.array([gamma]), table.values.T[None],
+                    config.verbatim_terms)
+            if not all(np.isfinite(a).all() for a in (elements, grounds)):
+                raise ValueError(
+                    f"{sig_path}: the inverse of these signals is not finite")
             max_err = max(np.max(np.abs(elements - truth)),
                           np.max(np.abs(grounds - truth_grounds)))
             report_lines.append(
-                f"gamma={tag}: cond(C)={cond_c:.6g} "
+                f"gamma={tag}: cond(C)={nominal.cond_base[0] ** 4:.6g} "
                 f"cond(M)={blocks.condition_numbers} "
                 f"max_residual={max_err:.3e}")
         else:
@@ -360,7 +357,7 @@ def cmd_reconstruct(config: ExperimentConfig):
             report_lines.append(
                 f"gamma={tag}: member-wise ensemble average over "
                 f"{result.n_members} members, cond(C base)="
-                f"{np.linalg.cond(base):.6g}")
+                f"{nominal.cond_base[0]:.6g}")
         diagnostics = validate_tensors(elements, grounds)
         for t, diag in zip(config.t_grid, diagnostics):
             report_lines.append(

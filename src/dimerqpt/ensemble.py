@@ -11,8 +11,8 @@ dipole factors (``response.iso_dipole_factors``), the secular propagator
 over the waiting-time grid and the 2x2 pulse generator.  Per Gamma: the
 geometry map ``table @ (S0 + Gamma dS)`` (with the fixed structure of
 ``isoaverage.pathway_structure``) and its checks, the forward map through
-C = base^(x)4 and, for tensors, the two-stage inverse that
-``reconstruct.reconstruct_rows`` also runs: ``pulses.kron_solve``
+C = base^(x)4 and, for tensors, ``invert``, the two-stage inverse that a
+homogeneous ``reconstruct`` runs on each signal file: ``pulses.kron_solve``
 (C^-1 = (base^-1)^(x)4), then ``isoaverage.solve_tensors``.  Every step acts
 on each member alone (elementwise, or one BLAS/LAPACK call per member), so a
 member's arrays do not depend on the members evaluated with it, and the
@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bath import (BathParams, ProcessTensor, secular_dynamics,
-                   secular_rates)
+from .bath import (BathParams, ProcessTensor, closure_ground_row,
+                   secular_dynamics, secular_rates)
 from .errors import DegenerateDimerError
 from .isoaverage import (N_PARAMS, geometry_blocks, params_to_elements,
                          pathway_structure, solve_tensors)
@@ -80,12 +80,13 @@ def sample_members(base: DimerParams, spec: EnsembleSpec):
 
 
 @dataclass(frozen=True)
-class _Chunk:
+class Prepared:
     """Gamma-independent arrays of the members start .. start + n - 1."""
 
     start: int
     table: np.ndarray       # (n, 32) isotropic dipole factors
     base: np.ndarray        # (n, 2, 2) single-pulse coefficients c[w, p]
+    cond_base: np.ndarray   # (n,) cond(base); cond(C) is its fourth power
     params: np.ndarray      # (n, 6, T) propagator, _SECULAR_PARAMS order
 
 
@@ -96,8 +97,8 @@ def _raise_first(bad, error, message, start):
         raise error(f"member {start + int(members[0])}: {message}")
 
 
-def _prepare(members, start, bath, toolbox, waiting_times):
-    """The Gamma-independent arrays of members[start:start + n]."""
+def prepare(members, start, bath, toolbox, waiting_times) -> Prepared:
+    """The Gamma-independent arrays of members numbered from ``start``."""
     e1, e2, j, d1, d2, phi = np.array(
         [(m.site_energy_1, m.site_energy_2, m.coupling_j, m.dipole_d1,
           m.dipole_d2, m.dipole_angle_phi) for m in members]).T
@@ -111,15 +112,15 @@ def _prepare(members, start, bath, toolbox, waiting_times):
                  "mu_eg vanishes: angle reference undefined", start)
     base = pulse_coefficient(energies[:, None, :],
                              np.array(toolbox.carriers)[:, None], toolbox)
-    check_generators(base, toolbox, first_member=start)
+    cond_base = check_generators(base, toolbox, first_member=start)
     gap = energies[:, 0] - energies[:, 1]
     k_down, k_up, rate = secular_rates(theta, gap, bath)
     pop, phase = secular_dynamics(k_down, k_up, to_angular(gap), rate,
                                   waiting_times)
     params = np.stack([pop[..., 0, 0], pop[..., 1, 0], pop[..., 0, 1],
                        pop[..., 1, 1], phase.real, phase.imag], axis=1)
-    return _Chunk(start=start, table=iso_dipole_factors(mu), base=base,
-                  params=params)
+    return Prepared(start=start, table=iso_dipole_factors(mu), base=base,
+                    cond_base=cond_base, params=params)
 
 
 def _geometry_map(chunk, gamma, structure):
@@ -137,12 +138,27 @@ def _geometry_map(chunk, gamma, structure):
     return vectors[..., 0], vectors[..., 1:] - vectors[..., :1]
 
 
-def _propagators(chunk):
-    """The members' secular propagators: elements (n, T, 2, 2, 2, 2)."""
-    n, _, count = chunk.params.shape
+def propagators(prepared):
+    """The members' secular propagators: elements (n, T, 2, 2, 2, 2) and
+    their trace-closing ground rows (n, T, 2, 2)."""
+    n, _, count = prepared.params.shape
     params = np.zeros((n, count, N_PARAMS))
-    params[..., _SECULAR_PARAMS] = chunk.params.transpose(0, 2, 1)
-    return params_to_elements(params)
+    params[..., _SECULAR_PARAMS] = prepared.params.transpose(0, 2, 1)
+    elements = params_to_elements(params)
+    return elements, closure_ground_row(elements)
+
+
+def invert(prepared, gamma, signals, verbatim=False, blocks=None):
+    """Blocks, elements (n, k, 2, 2, 2, 2) and ground rows (n, k, 2, 2) of
+    signal columns (n, 16, k): ``kron_solve`` with each member's C, then
+    ``solve_tensors`` with its checked M at Gamma (n,), or with ``blocks``."""
+    if blocks is None:
+        blocks = geometry_blocks(
+            *_geometry_map(prepared, gamma, pathway_structure(verbatim)),
+            first_member=prepared.start)
+    _, elements, grounds = solve_tensors(kron_solve(prepared.base, signals),
+                                         blocks)
+    return blocks, elements, grounds
 
 
 def _evaluate(chunk, gamma, structure, want_tensors):
@@ -155,8 +171,7 @@ def _evaluate(chunk, gamma, structure, want_tensors):
     signals = kron_power4(chunk.base) @ pathways
     if not want_tensors:
         return signals, pathways, None, None
-    _, elements, grounds = solve_tensors(kron_solve(chunk.base, signals),
-                                         blocks)
+    _, elements, grounds = invert(chunk, gamma, signals, blocks=blocks)
     return signals, pathways, elements, grounds
 
 
@@ -211,8 +226,8 @@ def evaluate_ensemble(members, bath: BathParams, toolbox: PulseToolbox,
         raise ValueError("members must be nonempty")
     t_grid = np.asarray(t_grid, dtype=float)
     structure = pathway_structure(verbatim)
-    chunks = [_prepare(members[start:start + _CHUNK], start, bath, toolbox,
-                       t_grid)
+    chunks = [prepare(members[start:start + _CHUNK], start, bath, toolbox,
+                      t_grid)
               for start in range(0, len(members), _CHUNK)]
     count = len(members)
     for gamma in gammas:
@@ -238,23 +253,6 @@ def run_ensemble(members, bath: BathParams, toolbox: PulseToolbox, t_grid,
         members, bath, toolbox, t_grid,
         [[m.quantum_yield_gamma for m in members]], verbatim=verbatim,
         want_tensors=want_tensors))
-
-
-def evaluate_member(member: DimerParams, bath: BathParams,
-                    toolbox: PulseToolbox, t_grid, verbatim=False,
-                    want_tensors=True):
-    """Signals (and member-reconstructed tensors) over the waiting-time grid.
-
-    The forward model is evaluated through the member's geometry blocks,
-    which is the exact linear form of the averaged pathway expressions; the
-    reconstruction then inverts with the same member-matched matrices.
-    Returns (signals (n, 16), pathway vectors (n, 16),
-    elements (n, 2, 2, 2, 2) or None, ground rows (n, 2, 2) or None).
-    """
-    result = run_ensemble([member], bath, toolbox, t_grid, verbatim=verbatim,
-                          want_tensors=want_tensors)
-    return (result.signal_table.values, result.pathway_means,
-            result.elements, result.grounds)
 
 
 def synthesize_signal_table(dimer: DimerParams, bath: BathParams,

@@ -146,8 +146,8 @@ class MBlocks:
     """Geometry blocks mapping tensor parameters to averaged pathway amplitudes.
 
     The arrays may carry a leading member axis, as ``geometry_blocks``
-    returns for a stack of maps; ``solve_chi_blocks`` takes such a stack,
-    the methods take one member's blocks.
+    returns for a stack of maps.  ``solve_chi_blocks`` and
+    ``condition_numbers`` take a stack, ``full_matrix`` and ``apply`` one.
     """
 
     m_ee: np.ndarray
@@ -156,14 +156,13 @@ class MBlocks:
     # tensor-independent part of the pathway vector; zero for the default
     # term structure, nonzero in the alternative published reading
     offset: np.ndarray
+    conditions: dict    # {block name: cond (...)}, from the check
 
     @property
     def condition_numbers(self):
-        return {
-            "ee": float(np.linalg.cond(self.m_ee)),
-            "epep": float(np.linalg.cond(self.m_epep)),
-            "eep": float(np.linalg.cond(self.m_eep)),
-        }
+        """{block name: largest condition number over the stack}."""
+        return {name: float(np.max(cond))
+                for name, cond in self.conditions.items()}
 
     def full_matrix(self):
         """16x16 map from parameters to the canonical pathway vector."""
@@ -195,9 +194,10 @@ def geometry_blocks(offset, full, first_member=None) -> MBlocks:
                  > 1e-12 * scale, RuntimeError,
                  "pathway map is not block diagonal as expected")]
     blocks = [full[..., rows, :][..., cols] for _, rows, cols in _BLOCKS]
-    for (name, _, _), block in zip(_BLOCKS, blocks):
-        failures.append((np.linalg.cond(block) > COND_THRESHOLD,
-                         SingularGeometryError,
+    conditions = {name: np.linalg.cond(block)
+                  for (name, _, _), block in zip(_BLOCKS, blocks)}
+    for name, cond in conditions.items():
+        failures.append((cond > COND_THRESHOLD, SingularGeometryError,
                          f"geometry block {name} is singular for this "
                          "dipole geometry"))
     bad = np.stack([np.ravel(mask) for mask, _, _ in failures])
@@ -209,7 +209,7 @@ def geometry_blocks(offset, full, first_member=None) -> MBlocks:
             message = f"member {first_member + member}: {message}"
         raise error(message)
     return MBlocks(m_ee=blocks[0], m_epep=blocks[1], m_eep=blocks[2],
-                   offset=offset)
+                   offset=offset, conditions=conditions)
 
 
 def build_m_blocks(basis: ExcitonBasis, gamma: float,

@@ -69,7 +69,8 @@ def base_coefficient_matrix(basis: ExcitonBasis, toolbox: PulseToolbox):
 
 
 def check_generators(base, toolbox: PulseToolbox, first_member=None):
-    """Reject 2x2 generators (..., 2, 2) whose C cannot be inverted.
+    """Reject 2x2 generators (..., 2, 2) whose C cannot be inverted, and
+    return their condition numbers cond(base) (...).
 
     C is the fourfold Kronecker power of its generator, so cond(C) is
     cond(base)^4 and the smallest singular value of C is the generator's to
@@ -81,7 +82,8 @@ def check_generators(base, toolbox: PulseToolbox, first_member=None):
     """
     sv = np.linalg.svd(base, compute_uv=False)
     with np.errstate(all="ignore"):
-        bad = ~((sv[..., 0] / sv[..., 1]) ** 4 < C_COND_LIMIT)
+        cond = sv[..., 0] / sv[..., 1]
+        bad = ~(cond ** 4 < C_COND_LIMIT)
         bad |= ~(sv[..., 1] ** 4 >= _C_FLOOR)
     bad = np.flatnonzero(bad)
     if bad.size:
@@ -91,6 +93,7 @@ def check_generators(base, toolbox: PulseToolbox, first_member=None):
             f"{where}toolbox frequencies "
             f"({toolbox.freq_plus}, {toolbox.freq_minus}) cm^-1 cannot "
             "discriminate the exciton transitions")
+    return cond
 
 
 def kron_power4(base):
@@ -135,11 +138,6 @@ class CMatrix:
     @property
     def base_condition_number(self):
         return float(np.linalg.cond(self.base_2x2))
-
-    def solve(self, signals):
-        """Recover the 16 pathway amplitudes from the 16 measured signals
-        (``kron_solve`` with the generator)."""
-        return kron_solve(self.base_2x2, signals)
 
 
 def build_c_matrix(basis: ExcitonBasis, toolbox: PulseToolbox) -> CMatrix:

@@ -17,7 +17,7 @@ import numpy as np
 from .bath import ProcessTensor
 from .isoaverage import MBlocks, solve_tensors
 from .model import E, EP
-from .pulses import CMatrix
+from .pulses import CMatrix, kron_solve
 
 # waiting times per stacked eigvalsh call: on 1000 tensors, 64 was as fast
 # as any size from 16 to 1000, and it keeps the temporaries small
@@ -60,12 +60,14 @@ class TensorDiagnostics:
                 and self.min_choi_eig >= -choi_tol)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def validate_tensors(elements, grounds):
     """Diagnostics of n tensors: elements (n, 2, 2, 2, 2), grounds (n, 2, 2).
 
     Returns a list of n ``TensorDiagnostics``.  The Choi matrices are built
     and diagonalized ``_CHOI_CHUNK`` waiting times at a time, one stacked
-    ``eigvalsh`` call per chunk.
+    ``eigvalsh`` call per chunk.  A defect too large for a double is inf,
+    and a tensor that is not finite gets ``min_choi_eig`` NaN: both fail.
     """
     elements = np.asarray(elements)
     grounds = np.asarray(grounds)
@@ -74,13 +76,16 @@ def validate_tensors(elements, grounds):
     trace = np.abs(grounds + elements[:, E, E] + elements[:, EP, EP]
                    - np.eye(2))
     choi_herm = np.empty(n)
-    min_eig = np.empty(n)
+    min_eig = np.full(n, np.nan)
     for start in range(0, n, _CHOI_CHUNK):
         part = slice(start, start + _CHOI_CHUNK)
         c = _choi_stack(elements[part], grounds[part])
         c_h = c.conj().transpose(0, 2, 1)
         choi_herm[part] = np.max(np.abs(c - c_h), axis=(1, 2))
-        min_eig[part] = np.min(np.linalg.eigvalsh(0.5 * (c + c_h)), axis=1)
+        # halves first: the sum of two finite halves cannot overflow
+        finite = np.isfinite(c).all(axis=(1, 2))
+        eig = np.linalg.eigvalsh(0.5 * c[finite] + 0.5 * c_h[finite])
+        min_eig[start + np.flatnonzero(finite)] = eig.min(axis=1)
     return [TensorDiagnostics(hermiticity_defect=h, trace_defect=tr,
                               min_choi_eig=eig, choi_hermiticity_defect=ch)
             for h, tr, eig, ch in zip(
@@ -97,12 +102,12 @@ def validate_tensor(tensor: ProcessTensor) -> TensorDiagnostics:
 def invert_signals(signals, cmatrix: CMatrix, ridge=0.0):
     """Signals -> pathway amplitudes, one 16-vector or (16, n) columns.
 
-    With zero ridge this is the exact solve ``CMatrix.solve``; a positive
-    ridge switches to Tikhonov-regularized least squares for noisy input.
+    With zero ridge this is the exact solve ``kron_solve``; a positive ridge
+    switches to Tikhonov-regularized least squares for noisy input.
     """
     b = np.asarray(signals, dtype=complex)
     if ridge == 0.0:
-        return cmatrix.solve(b)
+        return kron_solve(cmatrix.base_2x2, b)
     a = cmatrix.entries
     lhs = a.conj().T @ a + ridge * np.eye(a.shape[1])
     return np.linalg.solve(lhs, a.conj().T @ b)

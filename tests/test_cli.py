@@ -1,3 +1,4 @@
+import ast
 import csv
 from dataclasses import fields, replace
 from importlib import metadata
@@ -342,6 +343,66 @@ def test_signal_file_duplicated_row(config_path, small_config, capsys):
     assert "duplicate" in err
 
 
+def test_signal_file_waiting_times_must_match_exactly(config_path,
+                                                      small_config, capsys):
+    # within np.allclose of the configured 200 fs, but not equal to it
+    _edit_signal_file(config_path, small_config,
+                      lambda lines: ["200.001" + ln[3:]
+                                     if ln.startswith("200,") else ln
+                                     for ln in lines])
+    err = _assert_reconstruct_io_error(config_path, capsys)
+    assert "(T_fs=200.0 is only in the configuration)" in err
+    assert not os.path.exists(
+        os.path.join(small_config.output_dir, "tensors_gamma2.csv"))
+
+
+def _set_first_real_part(lines, key, value):
+    """``lines`` with the real part of the first row starting ``key``
+    replaced by ``value``."""
+    i = next(i for i, ln in enumerate(lines) if ln.startswith(key))
+    fields = lines[i].split(",")
+    fields[-2] = value
+    return lines[:i] + [",".join(fields)] + lines[i + 1:]
+
+
+def test_huge_tensor_value_fails_validation(config_path, small_config,
+                                            capsys):
+    """A finite 1e308 makes its waiting time fail, without a warning, and
+    every waiting time is still reported."""
+    main(["simulate", "--config", config_path])
+    main(["reconstruct", "--config", config_path])
+    path = os.path.join(small_config.output_dir, "tensors_gamma2.csv")
+    with open(path) as fh:
+        lines = _set_first_real_part(fh.readlines(), "120,e,e,e,e,", "1e308")
+    with open(path, "w") as fh:
+        fh.writelines(lines)
+    capsys.readouterr()
+    assert main(["validate", path]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    assert len(lines) == len(small_config.t_grid)
+    assert lines[0].startswith("T=120: ") and lines[0].endswith("[FAIL]")
+    assert all(line.endswith("[pass]") for line in lines[1:])
+
+
+def test_huge_signal_value_is_not_written(config_path, small_config, capsys):
+    """A signal file whose inverse is not finite exits 1 naming the file,
+    and no tensor file holds inf or NaN."""
+    _edit_signal_file(config_path, small_config,
+                      lambda lines: _set_first_real_part(lines, "120,++++,",
+                                                         "1e308"))
+    capsys.readouterr()
+    assert main(["reconstruct", "--config", config_path]) == 1
+    err = capsys.readouterr().err
+    assert "signals_gamma2.csv: the inverse of these signals is not finite" \
+        in err
+    assert "Traceback" not in err and "Warning" not in err
+    out = small_config.output_dir
+    assert not os.path.exists(os.path.join(out, "tensors_gamma2.csv"))
+    _parse_tensor_csv(os.path.join(out, "tensors_gamma0.csv"))
+
+
 def test_signal_file_missing_column(config_path, small_config, capsys):
     _edit_signal_file(config_path, small_config,
                       lambda lines: [ln.rsplit(",", 1)[0] + "\n"
@@ -395,8 +456,7 @@ def test_ensemble_commands_run_the_engine_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "evaluate_ensemble", counted)
     for module in (bath, cli, ensemble, isoaverage, reconstruct, response):
-        for name in ("build_m_blocks", "propagate_process_tensor",
-                     "evaluate_member"):
+        for name in ("build_m_blocks", "propagate_process_tensor"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, per_member)
     for command in ("simulate", "reconstruct"):
@@ -404,6 +464,26 @@ def test_ensemble_commands_run_the_engine_once(tmp_path, monkeypatch):
         assert main([command, "--config", path]) == 0
         assert len(calls) == 1
         assert calls[0][4] == cfg.gamma_list
+
+
+# the pieces of the engine's two-stage inverse, which cli.py reaches only
+# through ensemble.invert
+_INVERSE_PIECES = {"pathway_structure", "geometry_blocks", "solve_tensors",
+                   "kron_power4", "kron_solve", "closure_ground_row"}
+
+
+def test_cli_uses_only_the_public_engine():
+    """cli.py imports no private package name and none of the inverse's
+    pieces."""
+    with open(cli.__file__) as fh:
+        tree = ast.parse(fh.read())
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and (
+                 node.level or node.module.split(".")[0] == "dimerqpt")
+             for alias in node.names}
+    assert "invert" in names
+    assert not [name for name in names if name.startswith("_")]
+    assert not names & _INVERSE_PIECES
 
 
 # single-dimer builders that no command calls: the tests' oracles

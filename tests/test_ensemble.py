@@ -7,7 +7,7 @@ import pytest
 from dimerqpt import ensemble
 from dimerqpt.bath import build_redfield_generator, propagate_process_tensor
 from dimerqpt.ensemble import (EnsembleSpec, evaluate_ensemble,
-                               evaluate_member, run_ensemble, sample_members,
+                               run_ensemble, sample_members,
                                synthesize_signal_table)
 from dimerqpt.errors import SingularGeometryError
 from dimerqpt.isoaverage import (build_m_blocks, pathway_structure,
@@ -84,7 +84,9 @@ def test_reduction_in_member_order(dimer, bath, toolbox):
     result = run_ensemble(members, bath, toolbox, T_GRID)
     sums = None
     for member in members:
-        parts = evaluate_member(member, bath, toolbox, T_GRID)
+        one = run_ensemble([member], bath, toolbox, T_GRID)
+        parts = (one.signal_table.values, one.pathway_means, one.elements,
+                 one.grounds)
         sums = list(parts) if sums is None else [
             total + part for total, part in zip(sums, parts)]
     sig, pw, el, gr = (total / len(members) for total in sums)
@@ -113,8 +115,9 @@ def test_linearity_transfer_fixed_matrices(dimer, bath, toolbox):
     cmat = build_c_matrix(basis, toolbox)
     blocks = build_m_blocks(basis, dimer.quantum_yield_gamma)
 
-    tables = [evaluate_member(m, bath, toolbox, T_GRID,
-                              want_tensors=False)[0] for m in members]
+    tables = [run_ensemble([m], bath, toolbox, T_GRID,
+                           want_tensors=False).signal_table.values
+              for m in members]
     mean_signals = np.mean(tables, axis=0)
     from_mean, _ = reconstruct_single(mean_signals[1], cmat, blocks,
                                       T_GRID[1])
@@ -195,8 +198,8 @@ def test_member_arrays_independent_of_batch(dimer, bath, toolbox, verbatim,
     t_grid = np.array(T_GRID)
 
     def arrays(start, stop):
-        chunk = ensemble._prepare(members[start:stop], start, bath, toolbox,
-                                  t_grid)
+        chunk = ensemble.prepare(members[start:stop], start, bath, toolbox,
+                                 t_grid)
         return ensemble._evaluate(chunk, gammas[start:stop], structure, True)
 
     batch = arrays(0, len(members))
@@ -210,8 +213,10 @@ def test_member_arrays_independent_of_batch(dimer, bath, toolbox, verbatim,
     chunked = run_ensemble(members, bath, toolbox, T_GRID, verbatim=verbatim)
     sums = None
     for member in members:
-        parts = evaluate_member(member, bath, toolbox, T_GRID,
-                                verbatim=verbatim)
+        one = run_ensemble([member], bath, toolbox, T_GRID,
+                           verbatim=verbatim)
+        parts = (one.signal_table.values, one.pathway_means, one.elements,
+                 one.grounds)
         sums = list(parts) if sums is None else [
             total + part for total, part in zip(sums, parts)]
     for result in (whole, chunked):
