@@ -7,6 +7,7 @@ manifest so a run can be reproduced exactly.  Exit codes: 0 success,
 """
 
 import argparse
+import contextlib
 import csv
 from dataclasses import replace
 import functools
@@ -15,6 +16,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -218,17 +220,75 @@ def _tokenized(reader, unreadable):
         unreadable.append((reader.line_num, str(exc)))
 
 
+def _guarded_lines(fh):
+    """The lines of ``fh``, up to one that is longer than
+    ``csv.field_size_limit()`` or holds a NUL, which raises ValueError: the
+    first may hold a field the csv module rejects, and a NUL ending a key
+    would vanish in a numpy bytes field."""
+    limit = csv.field_size_limit()
+    for line in fh:
+        if len(line) > limit or "\0" in line:
+            raise ValueError("line left to the row checker")
+        yield line
+
+
+def _read_writer_layout(fh, header, slots):
+    """(T, values) of the CSV open in ``fh`` if it is in the writer's
+    layout, else None (with ``fh`` read part-way).
+
+    The writer's layout is ``header`` as the writer writes it, then for each
+    T in strictly increasing order one block of rows, a row per key in slot
+    order, each row carrying the same T and finite numbers.  One
+    ``np.loadtxt`` call parses the rows; it reads numbers with the parser
+    ``float`` uses, so a file accepted here is accepted by the row checker
+    with the same (T, values) (a T spelled 0 and -0 in one block is that of
+    the block's first row in both).  Key fields are bytes one wider than the
+    longest valid key field, so a longer key never matches.  Anything else,
+    including a ``loadtxt`` warning, returns None.
+    """
+    if fh.readline() != ",".join(header) + "\r\n":
+        return None
+    # (k, key fields) bytes: the key fields of a block's rows, in slot order
+    keys = np.array([key.split(",") for key in sorted(slots, key=slots.get)],
+                    dtype=bytes)
+    dtype = [("t", "f8"), ("key", f"S{keys.itemsize + 1}", keys.shape[1:]),
+             ("re", "f8"), ("im", "f8")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            rows = np.loadtxt(_guarded_lines(fh), dtype=dtype, delimiter=",",
+                              quotechar=None, comments=None, ndmin=1)
+        except (ValueError, Warning):
+            return None
+    if len(rows) % len(keys):
+        return None
+    blocks = rows.reshape(-1, len(keys))
+    t = blocks["t"]
+    if not ((blocks["key"] == keys).all()
+            and (t == t[:, :1]).all()
+            and (np.diff(t[:, 0]) > 0).all()
+            and all(np.isfinite(blocks[name]).all()
+                    for name in ("t", "re", "im"))):
+        return None
+    values = np.empty(blocks.shape, dtype=complex)
+    values.real = blocks["re"]
+    values.imag = blocks["im"]
+    return t[:, 0].copy(), values
+
+
 def _read_rows(path, header, slots, key_name):
     """CSV of (T_fs, key fields..., re, im) rows -> (T, values) sorted by T.
 
     Each T must carry every key of ``slots`` (joined with commas) exactly
     once, with finite numbers; rows may come in any order and blank rows are
     skipped.  ``T`` is (n_T,) float and ``values`` (n_T, k) complex, k =
-    len(slots), with columns in slot order.  The file is read
-    ``_READ_CHUNK`` rows at a time and checked with array operations; a
-    fault raises ValueError naming ``path:line``, for the fault first in
-    file order (a missing key: the first T in order that lacks one).  Bytes
-    that are not valid text make their row malformed.
+    len(slots), with columns in slot order.  A file in the writer's layout
+    is parsed in one pass (``_read_writer_layout``).  Any other file goes
+    to the row checker, which reads it ``_READ_CHUNK`` rows at a time and
+    checks them with array operations; a fault raises ValueError naming
+    ``path:line``, for the fault first in file order (a missing key: the
+    first T in order that lacks one).  Bytes that are not valid text make
+    their row malformed.
     """
     # per chunk: (T, slot, re, im) of well-formed rows
     parts = [(np.empty(0), np.empty(0, dtype=np.intp), np.empty(0),
@@ -236,6 +296,10 @@ def _read_rows(path, header, slots, key_name):
     fault = None    # what is wrong with the first malformed row
     unreadable = []     # (line, error) of a row the csv module rejects
     with open(path, newline="", errors=_DECODE_ERRORS) as fh:
+        result = _read_writer_layout(fh, header, slots)
+        if result is not None:
+            return result
+        fh.seek(0)
         reader = csv.reader(fh)
         rows = _tokenized(reader, unreadable)
         row = next(rows, None)
@@ -327,9 +391,18 @@ def cmd_reconstruct(config: ExperimentConfig):
                                     config.gamma_list,
                                     verbatim=config.verbatim_terms,
                                     want_tensors=True)
+    tensor_paths = [os.path.join(config.output_dir,
+                                 f"tensors_gamma{_gamma_tag(gamma)}.csv")
+                    for gamma in config.gamma_list]
+    report_path = os.path.join(config.output_dir, "reconstruction_report.txt")
+    # a run that stops part-way must not leave an earlier run's outputs
+    # beside its own
+    for path in tensor_paths + [report_path]:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path)
     report_lines = []
     failed = False
-    for gamma in config.gamma_list:
+    for gamma, tensor_path in zip(config.gamma_list, tensor_paths):
         tag = _gamma_tag(gamma)
         if config.homogeneous_only:
             sig_path, _ = _signal_paths(config, gamma)
@@ -366,14 +439,11 @@ def cmd_reconstruct(config: ExperimentConfig):
                 f"min_choi_eig={diag.min_choi_eig:.3e}")
             if not diag.passed(herm_tol=1e-8, trace_tol=1e-8, choi_tol=1e-8):
                 failed = True
-        _write_tensor_csv(
-            os.path.join(config.output_dir, f"tensors_gamma{tag}.csv"),
-            elements, grounds, config.t_grid)
-    with open(os.path.join(config.output_dir, "reconstruction_report.txt"),
-              "w") as fh:
-        fh.write("\n".join(report_lines) + "\n")
-    for line in report_lines:
-        print(line)
+        _write_tensor_csv(tensor_path, elements, grounds, config.t_grid)
+    report = "\n".join(report_lines) + "\n"
+    with open(report_path, "w") as fh:
+        fh.write(report)
+    sys.stdout.write(report)
     return EXIT_VALIDATION if failed else EXIT_OK
 
 
@@ -394,15 +464,17 @@ def cmd_validate(tensor_csv, tolerance=1e-8):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     failed = False
+    lines = []
     diagnostics = validate_tensors(elements, grounds)
     for t, diag in zip(times.tolist(), diagnostics):
         ok = diag.passed(herm_tol=tolerance, trace_tol=tolerance,
                          choi_tol=tolerance)
         failed = failed or not ok
         status = "pass" if ok else "FAIL"
-        print(f"T={t:g}: herm={diag.hermiticity_defect:.3e} "
-              f"trace={diag.trace_defect:.3e} "
-              f"min_choi_eig={diag.min_choi_eig:.3e} [{status}]")
+        lines.append(f"T={t:g}: herm={diag.hermiticity_defect:.3e} "
+                     f"trace={diag.trace_defect:.3e} "
+                     f"min_choi_eig={diag.min_choi_eig:.3e} [{status}]\n")
+    sys.stdout.write("".join(lines))
     return EXIT_VALIDATION if failed else EXIT_OK
 
 
@@ -423,13 +495,14 @@ def cmd_report(output_dir):
         print(f"error: {path}: not a run manifest (expected an object whose "
               f"'config' object holds a 't_grid' list)", file=sys.stderr)
         return EXIT_IO
-    print(f"run manifest: {path}")
-    print(f"versions: {manifest.get('versions', {})}")
-    print(f"waiting-time grid: {len(grid)} points "
-          f"[{grid[0] if grid else '-'} .. {grid[-1] if grid else '-'}] fs")
-    print(f"gamma values: {cfg.get('gamma_list')}")
-    print(f"ensemble: {cfg.get('ensemble')}")
-    print(f"homogeneous_only: {cfg.get('homogeneous_only')}")
+    sys.stdout.write(
+        f"run manifest: {path}\n"
+        f"versions: {manifest.get('versions', {})}\n"
+        f"waiting-time grid: {len(grid)} points "
+        f"[{grid[0] if grid else '-'} .. {grid[-1] if grid else '-'}] fs\n"
+        f"gamma values: {cfg.get('gamma_list')}\n"
+        f"ensemble: {cfg.get('ensemble')}\n"
+        f"homogeneous_only: {cfg.get('homogeneous_only')}\n")
     return EXIT_OK
 
 

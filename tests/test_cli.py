@@ -403,6 +403,34 @@ def test_huge_signal_value_is_not_written(config_path, small_config, capsys):
     _parse_tensor_csv(os.path.join(out, "tensors_gamma0.csv"))
 
 
+def test_failed_reconstruct_leaves_no_earlier_outputs(config_path,
+                                                     small_config, capsys):
+    """A reconstruct that fails at its last Gamma exits as before and
+    leaves none of an earlier run's tensor files or report behind."""
+    out = small_config.output_dir
+    main(["simulate", "--config", config_path])
+    assert main(["reconstruct", "--config", config_path]) == 0
+    for name in os.listdir(out):
+        if name.startswith("tensors_") or name == "reconstruction_report.txt":
+            with open(os.path.join(out, name), "w") as fh:
+                fh.write("earlier run\n")
+    signal_path = os.path.join(out, "signals_gamma2.csv")
+    with open(signal_path) as fh:
+        lines = _set_first_real_part(fh.readlines(), "120,++++,", "1e308")
+    with open(signal_path, "w") as fh:
+        fh.writelines(lines)
+    assert main(["reconstruct", "--config", config_path]) == 1
+    for name in os.listdir(out):
+        with open(os.path.join(out, name)) as fh:
+            assert fh.read() != "earlier run\n", name
+    tensor_path = os.path.join(out, "tensors_gamma2.csv")
+    assert not os.path.exists(tensor_path)
+    assert not os.path.exists(os.path.join(out, "reconstruction_report.txt"))
+    capsys.readouterr()
+    assert main(["validate", tensor_path]) == 3
+    assert tensor_path in capsys.readouterr().err
+
+
 def test_signal_file_missing_column(config_path, small_config, capsys):
     _edit_signal_file(config_path, small_config,
                       lambda lines: [ln.rsplit(",", 1)[0] + "\n"
@@ -809,3 +837,173 @@ def test_reader_reports_first_fault_in_file_order(valid_files, tmp_path):
                            "omega_tuple")
         assert f"{path}:{where}" in str(info.value)
         assert first in str(info.value)
+
+
+def _edit_layout(kind, lines, rng):
+    """One edit of a CSV's layout (a list of lines without terminators)
+    that the writer never makes.  Returns the new lines and their line
+    ending."""
+    header, rows = lines[0], lines[1:]
+    r = rng.randrange(len(rows))
+    fields = rows[r].split(",")
+    width = header.count(",") + 1
+    keys = range(1, width - 2)      # the key fields' indices
+    numbers = [0, width - 2, width - 1]
+    if kind == "whitespace line":
+        rows.insert(rng.randrange(len(rows) + 1), rng.choice([" ", "\t"]))
+    elif kind in ("LF endings", "CR endings"):
+        return lines, {"LF endings": "\n", "CR endings": "\r"}[kind]
+    elif kind == "quoted key":
+        at = rng.choice(keys)
+        fields[at] = f'"{fields[at]}"'
+    elif kind == "quoted number":
+        at = rng.choice(numbers)
+        fields[at] = f'"{fields[at]}"'
+    elif kind == "BOM":
+        header = "\ufeff" + header
+    elif kind == "hash in field":
+        at = rng.randrange(width)
+        fields[at] = rng.choice(["#", fields[at] + "#", "#" + fields[at]])
+    elif kind == "long key":
+        fields[rng.choice(keys)] = "+++++" if width == 4 else "epe"
+    elif kind == "NUL":
+        # at the end of a key, a NUL vanishes in a numpy bytes field
+        at = rng.randrange(width)
+        fields[at] = rng.choice([fields[at] + "\0", "\0" + fields[at]])
+    elif kind == "underscore in number":
+        # float() reads "1_20" as 120
+        at = rng.choice([i for i in numbers
+                         if re.search(r"\d\d", fields[i])])
+        fields[at] = re.sub(r"(\d)(\d)", r"\1_\2", fields[at], count=1)
+    elif kind == "T spelled two ways":
+        # the first block (T = 120) gets T = t, one of its rows T = other;
+        # of 0 and -0 the reader keeps the block's first, so often that is
+        # the odd row
+        t, other = rng.choice([("0", "-0"), ("-0", "0"), ("120", "120.0")])
+        block = len(rows) // len({row.split(",", 1)[0] for row in rows})
+        rows[:block] = [t + row[row.index(","):] for row in rows[:block]]
+        r = rng.choice([0, rng.randrange(block)])
+        fields = rows[r].split(",")
+        fields[0] = other
+    elif kind == "blocks out of T order":
+        times = list(dict.fromkeys(row.split(",", 1)[0] for row in rows))
+        rng.shuffle(times)
+        rows.sort(key=lambda row: times.index(row.split(",", 1)[0]))
+    elif kind == "header only":
+        rows = []
+    elif kind == "one row":
+        rows = rows[r:r + 1]
+    else:   # "long finite number"
+        fields[rng.choice(numbers)] = "0." + "0" * 200000 + "1"
+    if kind not in ("whitespace line", "BOM", "blocks out of T order",
+                    "header only", "one row"):
+        rows[r] = ",".join(fields)
+    return [header] + rows, "\r\n"
+
+
+_LAYOUT_EDITS = ["whitespace line", "LF endings", "CR endings", "quoted key",
+                 "quoted number", "BOM", "hash in field", "long key", "NUL",
+                 "underscore in number", "T spelled two ways",
+                 "blocks out of T order", "header only", "one row",
+                 "long finite number"]
+
+
+def _read_or_error(path, schema):
+    """The (T, values) _read_rows returns, or the text of its ValueError."""
+    try:
+        return cli._read_rows(path, *schema)
+    except ValueError as exc:
+        return str(exc)
+
+
+_SCHEMAS = {"signals": (cli._SIGNAL_HEADER, cli._OMEGA_COLUMN, "omega_tuple"),
+            "tensors": (cli._TENSOR_HEADER, cli._TENSOR_SLOT, "n,m,nu,mu")}
+
+
+@pytest.mark.parametrize("stem", ["signals", "tensors"])
+@pytest.mark.parametrize("kind", _MUTATIONS + _LAYOUT_EDITS)
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), blanks=st.integers(0, 3))
+def test_fast_reader_matches_row_checker(valid_files, stem, kind, seed,
+                                         blanks):
+    """_read_rows gives what the row checker alone gives (the fast path
+    patched out): bit-identical arrays, or the same ValueError text."""
+    _, files = valid_files
+    rng = random.Random(seed)
+    if kind in _MUTATIONS:
+        lines, _, _ = _mutate(kind, list(files[stem]), rng, blanks)
+        ending = "\r\n"
+    else:
+        lines, ending = _edit_layout(kind, list(files[stem]), rng)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, f"{stem}_gamma2.csv")
+        with open(path, "w", newline="", errors="surrogateescape") as fh:
+            fh.write(ending.join(lines) + ending)
+        got = _read_or_error(path, _SCHEMAS[stem])
+        with mock.patch.object(cli, "_read_writer_layout",
+                               lambda *args: None):
+            expected = _read_or_error(path, _SCHEMAS[stem])
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert not isinstance(got, str), got
+        for a, b in zip(got, expected):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()
+
+
+def test_writer_output_takes_the_fast_path(small_config, tmp_path,
+                                           monkeypatch, capsys):
+    """Homogeneous simulate -> reconstruct -> validate never call the row
+    checker on the writer's own files, and give the outputs of a run that
+    reads every file with the checker; a shuffled file still goes through
+    the checker to the same arrays."""
+    path = str(tmp_path / "cfg.json")
+    save_config(small_config, path)
+    out = small_config.output_dir
+    tensor_paths = [os.path.join(out, f"tensors_gamma{g:g}.csv")
+                    for g in small_config.gamma_list]
+
+    def run():
+        codes = (main(["simulate", "--config", path]),
+                 main(["reconstruct", "--config", path]),
+                 [main(["validate", p]) for p in tensor_paths])
+        files = {}
+        for name in sorted(os.listdir(out)):
+            with open(os.path.join(out, name), "rb") as fh:
+                files[name] = fh.read()
+        return codes, capsys.readouterr(), files
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_read_writer_layout", lambda *args: None)
+        checked = run()
+
+    def unreachable(*args):
+        raise AssertionError("row checker called")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_parse_chunk", unreachable)
+        fast = run()
+    assert fast == checked
+    assert fast[0] == (0, 0, [0, 0])
+    parse_chunk = cli._parse_chunk
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return parse_chunk(*args)
+
+    schema = _SCHEMAS["signals"]
+    signal_path = os.path.join(out, "signals_gamma2.csv")
+    expected = cli._read_rows(signal_path, *schema)
+    with open(signal_path, newline="") as fh:
+        header, *rows = fh.readlines()
+    random.Random(1).shuffle(rows)
+    shuffled = str(tmp_path / "shuffled.csv")
+    with open(shuffled, "w", newline="") as fh:
+        fh.writelines([header] + rows)
+    monkeypatch.setattr(cli, "_parse_chunk", counted)
+    got = cli._read_rows(shuffled, *schema)
+    assert calls
+    for a, b in zip(got, expected):
+        assert a.tobytes() == b.tobytes()
