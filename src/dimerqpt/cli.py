@@ -11,7 +11,7 @@ import contextlib
 import csv
 from dataclasses import replace
 import functools
-from itertools import islice, product
+from itertools import product
 import json
 import math
 import os
@@ -43,7 +43,6 @@ _TENSOR_HEADER = ["T_fs", "n", "m", "nu", "mu", "re_chi", "im_chi"]
 _TENSOR_ROWS = (list(product(_STATE_NAMES, repeat=4))
                 + [("g", "g") + p for p in product(_STATE_NAMES, repeat=2)])
 _TENSOR_SLOT = {",".join(key): slot for slot, key in enumerate(_TENSOR_ROWS)}
-_READ_CHUNK = 512   # CSV rows tokenized and parsed per step
 # a byte that is not valid text becomes a lone surrogate in its field, which
 # then fails to parse; messages show it escaped, as repr does
 _DECODE_ERRORS = "surrogateescape"
@@ -144,80 +143,19 @@ def _write_rows(path, header, t_grid, labels, values):
             fh.write((t + t.join(rows)) % tuple(numbers.tolist()))
 
 
-def _floats(texts):
-    """(floats of ``texts``, None), or, when ``float`` rejects a text,
-    (floats of the texts before it, (its index, the error message))."""
-    try:
-        return list(map(float, texts)), None
-    except ValueError:
-        for index, text in enumerate(texts):
-            try:
-                float(text)
-            except ValueError as exc:
-                return list(map(float, texts[:index])), (index, str(exc))
-
-
-def _parse_chunk(rows, width, slots, key_name):
-    """Parse the leading well-formed rows of a chunk of non-blank rows.
-
-    Returns (T, slot, re, im) arrays of the rows before the first malformed
-    one, and what is wrong with that row, or None when every row is well
-    formed.  A row is checked for its field count, its key, its
-    three numbers in column order and their finiteness, in that order.
-    """
-    fault = None
-    n = len(rows)
-    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=n)
-    bad = np.flatnonzero(lengths != width)
-    if bad.size:
-        n = int(bad[0])
-        fault = f"expected {width} fields, got {lengths[n]}"
-    columns = list(zip(*rows[:n])) or [()] * width
-    keys = list(map(",".join, zip(*columns[1:-2])))
-    slot = list(map(slots.get, keys))
-    if None in slot:
-        n = slot.index(None)
-        fault = f"unknown {key_name} {keys[n]!r}"
-    numbers = []
-    first_bad = n
-    for column in (columns[0], columns[-2], columns[-1]):
-        values, bad = _floats(column[:n])
-        if bad is not None and bad[0] < first_bad:
-            first_bad, fault = bad
-        numbers.append(values)
-    n = first_bad
-    t, re, im = (np.array(values[:n], dtype=float) for values in numbers)
-    finite = np.isfinite(t) & np.isfinite(re) & np.isfinite(im)
-    if not finite.all():
-        n = int(np.argmin(finite))
-        fault = "non-finite number"
-    return (t[:n], np.array(slot[:n], dtype=np.intp), re[:n], im[:n]), fault
-
-
-def _data_row_lines(path, indices):
-    """{index: line number} of data rows of a CSV file (header and blank
-    rows not counted), as ``csv.reader.line_num`` gives them."""
-    wanted = set(indices)
-    lines = {}
-    with open(path, newline="", errors=_DECODE_ERRORS) as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        for index, _ in enumerate(filter(None, reader)):
-            if index in wanted:
-                lines[index] = reader.line_num
-                if len(lines) == len(wanted):
-                    break
-    return lines
-
-
-def _tokenized(reader, unreadable):
-    """The rows of ``reader`` up to the first one the csv module cannot
-    tokenize, such as a field over ``csv.field_size_limit``; that row ends
-    the iteration, and its line and the error go to ``unreadable``."""
-    try:
-        yield from reader
-    except csv.Error as exc:
-        unreadable.append((reader.line_num, str(exc)))
+def _parse_row(fields, width, slots, key_name):
+    """(T, key, value) of one non-blank CSV row of (T_fs, key fields...,
+    re, im).  A malformed row raises ValueError saying what is wrong, for
+    the first fault in the order field count, key, T, re, im, finiteness."""
+    if len(fields) != width:
+        raise ValueError(f"expected {width} fields, got {len(fields)}")
+    key = ",".join(fields[1:-2])
+    if key not in slots:
+        raise ValueError(f"unknown {key_name} {key!r}")
+    t, re, im = float(fields[0]), float(fields[-2]), float(fields[-1])
+    if not (math.isfinite(t) and math.isfinite(re) and math.isfinite(im)):
+        raise ValueError("non-finite number")
+    return t, key, complex(re, im)
 
 
 def _guarded_lines(fh):
@@ -284,75 +222,61 @@ def _read_rows(path, header, slots, key_name):
     skipped.  ``T`` is (n_T,) float and ``values`` (n_T, k) complex, k =
     len(slots), with columns in slot order.  A file in the writer's layout
     is parsed in one pass (``_read_writer_layout``).  Any other file goes
-    to the row checker, which reads it ``_READ_CHUNK`` rows at a time and
-    checks them with array operations; a fault raises ValueError naming
-    ``path:line``, for the fault first in file order (a missing key: the
-    first T in order that lacks one).  Bytes that are not valid text make
-    their row malformed.
+    to the row checker, which reads it row by row (``_parse_row``) and
+    raises ValueError naming ``path:line`` at the first malformed or
+    duplicated row; a row spanning several lines is named by its last.
+    After the last row, a missing key is named at the first row of the
+    smallest T that lacks one.  Bytes that are not valid text make their
+    row malformed.
     """
-    # per chunk: (T, slot, re, im) of well-formed rows
-    parts = [(np.empty(0), np.empty(0, dtype=np.intp), np.empty(0),
-              np.empty(0))]
-    fault = None    # what is wrong with the first malformed row
-    unreadable = []     # (line, error) of a row the csv module rejects
+    # {T: {key: (line, value)}}, both levels in file order
+    blocks = {}
     with open(path, newline="", errors=_DECODE_ERRORS) as fh:
         result = _read_writer_layout(fh, header, slots)
         if result is not None:
             return result
         fh.seek(0)
         reader = csv.reader(fh)
-        rows = _tokenized(reader, unreadable)
-        row = next(rows, None)
+        try:
+            row = next(reader, None)
+        except csv.Error:
+            row = None
         if row != header:
             raise ValueError(f"{path}:1: unexpected header {row}")
-        while fault is None:
-            block = list(islice(rows, _READ_CHUNK))
-            if not block:
-                break
-            part, fault = _parse_chunk(list(filter(None, block)),
-                                       len(header), slots, key_name)
-            parts.append(part)
-    t, slot, re, im = (np.concatenate(arrays) for arrays in zip(*parts))
-    k = len(slots)
-    times, first, t_index = np.unique(t, return_index=True,
-                                      return_inverse=True)
-    code = t_index * k + slot
-    counts = np.bincount(code, minlength=len(times) * k)
-    if len(counts) and counts.max() > 1:
-        # the first row whose (T, key) came before it
-        codes, first_of_code = np.unique(code, return_index=True)
-        repeated = np.ones(len(code), dtype=bool)
-        repeated[first_of_code] = False
-        dup = int(np.argmax(repeated))
-        earlier = int(first_of_code[np.searchsorted(codes, code[dup])])
-        lines = _data_row_lines(path, (dup, earlier))
-        key = {s: key for key, s in slots.items()}[slot[dup]]
-        raise ValueError(
-            f"{path}:{lines[dup]}: duplicate row for T_fs={float(t[dup]):g}, "
-            f"{key_name}={key} (first at line {lines[earlier]})")
-    if fault is not None:
-        # every data row before the malformed one is well formed
-        lines = _data_row_lines(path, (len(t),))
-        raise ValueError(f"{path}:{lines[len(t)]}: malformed row ({fault})")
-    if unreadable:
-        line, error = unreadable[0]
-        raise ValueError(f"{path}:{line}: malformed row ({error})")
-    if not len(t):
+        try:
+            for fields in reader:
+                if not fields:
+                    continue
+                line = reader.line_num
+                try:
+                    t, key, value = _parse_row(fields, len(header), slots,
+                                               key_name)
+                except ValueError as exc:
+                    raise ValueError(
+                        f"{path}:{line}: malformed row ({exc})") from None
+                block = blocks.setdefault(t, {})
+                if key in block:
+                    raise ValueError(
+                        f"{path}:{line}: duplicate row for T_fs={t:g}, "
+                        f"{key_name}={key} (first at line {block[key][0]})")
+                block[key] = line, value
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: malformed row "
+                             f"({exc})") from None
+    if not blocks:
         raise ValueError(f"{path}: no data rows")
-    present = counts.reshape(len(times), k) > 0
-    incomplete = np.flatnonzero(~present.all(axis=1))
-    if incomplete.size:
-        i = int(incomplete[0])
-        missing = [key for key, s in slots.items() if not present[i, s]]
-        row = int(first[i])
-        lines = _data_row_lines(path, (row,))
-        raise ValueError(
-            f"{path}:{lines[row]}: T_fs={float(times[i]):g} has no row "
-            f"for {key_name} {'; '.join(missing)}")
-    values = np.empty((len(times), k), dtype=complex)
-    values.real[t_index, slot] = re
-    values.imag[t_index, slot] = im
-    return times, values
+    times = sorted(blocks)
+    for t in times:
+        block = blocks[t]
+        missing = [key for key in slots if key not in block]
+        if missing:
+            first_line = next(iter(block.values()))[0]
+            raise ValueError(
+                f"{path}:{first_line}: T_fs={t:g} has no row for "
+                f"{key_name} {'; '.join(missing)}")
+    columns = sorted(slots, key=slots.get)
+    values = [[blocks[t][key][1] for key in columns] for t in times]
+    return np.array(times), np.array(values, dtype=complex)
 
 
 def _read_signal_table(path, config):

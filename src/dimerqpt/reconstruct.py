@@ -99,21 +99,13 @@ def validate_tensor(tensor: ProcessTensor) -> TensorDiagnostics:
     return validate_tensors(tensor.elements[None], tensor.ground_row[None])[0]
 
 
-def invert_signals(signals, cmatrix: CMatrix, ridge=0.0):
-    """Signals -> pathway amplitudes, one 16-vector or (16, n) columns.
-
-    With zero ridge this is the exact solve ``kron_solve``; a positive ridge
-    switches to Tikhonov-regularized least squares for noisy input.
-    """
-    b = np.asarray(signals, dtype=complex)
-    if ridge == 0.0:
-        return kron_solve(cmatrix.base_2x2, b)
-    a = cmatrix.entries
-    lhs = a.conj().T @ a + ridge * np.eye(a.shape[1])
-    return np.linalg.solve(lhs, a.conj().T @ b)
+def invert_signals(signals, cmatrix: CMatrix):
+    """Signals -> pathway amplitudes, one 16-vector or (16, n) columns: the
+    exact solve ``kron_solve``."""
+    return kron_solve(cmatrix.base_2x2, np.asarray(signals, dtype=complex))
 
 
-def reconstruct_rows(signals, cmatrix: CMatrix, mblocks: MBlocks, ridge=0.0):
+def reconstruct_rows(signals, cmatrix: CMatrix, mblocks: MBlocks):
     """Two-stage inversion of every waiting time at once.
 
     ``signals`` is (n, 16) complex, one row per waiting time with columns
@@ -125,17 +117,17 @@ def reconstruct_rows(signals, cmatrix: CMatrix, mblocks: MBlocks, ridge=0.0):
     the geometry blocks applied to the real parameters actually kept,
     nonzero when the input is inconsistent with a Hermitian tensor.
     """
-    pathways = invert_signals(np.asarray(signals).T, cmatrix, ridge=ridge)
+    pathways = invert_signals(np.asarray(signals).T, cmatrix)
     params, elements, grounds = solve_tensors(pathways, mblocks)
     residuals = np.max(np.abs(mblocks.apply(params.T) - pathways.T), axis=1)
     return elements, grounds, residuals
 
 
 def reconstruct_single(signal_row, cmatrix: CMatrix, mblocks: MBlocks,
-                       waiting_time, ridge=0.0):
+                       waiting_time):
     """One waiting time: signals (16,) -> (tensor, pathway residual)."""
     elements, grounds, residuals = reconstruct_rows(
-        np.asarray(signal_row)[None, :], cmatrix, mblocks, ridge=ridge)
+        np.asarray(signal_row)[None, :], cmatrix, mblocks)
     return (ProcessTensor(waiting_time=waiting_time, elements=elements[0],
                           ground_row=grounds[0]),
             float(residuals[0]))
@@ -170,14 +162,14 @@ def tensor_distance(a: ProcessTensor, b: ProcessTensor):
 
 
 def reconstruct(signal_table, cmatrix: CMatrix, mblocks: MBlocks,
-                ridge=0.0, reference=None) -> ReconstructionReport:
+                reference=None) -> ReconstructionReport:
     """Invert a full signal table, one tensor per waiting time.
 
     ``reference``, if given, is a list of ground-truth tensors used to fill
     the per-time reconstruction errors.
     """
     elements, grounds, residuals = reconstruct_rows(
-        signal_table.values, cmatrix, mblocks, ridge=ridge)
+        signal_table.values, cmatrix, mblocks)
     tensors = [ProcessTensor(waiting_time=t, elements=el, ground_row=gr)
                for t, el, gr in zip(signal_table.t_grid, elements, grounds)]
     diagnostics = validate_tensors(elements, grounds)

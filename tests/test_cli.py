@@ -754,9 +754,8 @@ _MUTATIONS = ["blank lines", "shuffle", "delete", "duplicate",
 @pytest.mark.parametrize("stem", ["signals", "tensors"])
 @pytest.mark.parametrize("kind", _MUTATIONS)
 @settings(derandomize=True, max_examples=8, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), blanks=st.integers(0, 3),
-       chunk=st.sampled_from([1, 7, cli._READ_CHUNK]))
-def test_reader_fuzz(valid_files, stem, kind, seed, blanks, chunk):
+@given(seed=st.integers(0, 2**32 - 1), blanks=st.integers(0, 3))
+def test_reader_fuzz(valid_files, stem, kind, seed, blanks):
     """A benign edit parses to the same arrays; any other edit makes
     reconstruct or validate exit 3 naming path:line, without a traceback."""
     cfg, files = valid_files
@@ -766,8 +765,7 @@ def test_reader_fuzz(valid_files, stem, kind, seed, blanks, chunk):
                           "omega_tuple"),
               "tensors": (cli._TENSOR_HEADER, cli._TENSOR_SLOT,
                           "n,m,nu,mu")}[stem]
-    with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(cli, "_READ_CHUNK", chunk):
+    with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, f"{stem}_gamma2.csv")
         with open(path, "w", newline="", errors="surrogateescape") as fh:
             fh.write("\r\n".join(lines) + "\r\n")
@@ -803,6 +801,8 @@ def test_reader_reports_first_fault_in_file_order(valid_files, tmp_path):
     copy = rows[0].split(",")
     copy[-1] = "7"
     huge = "120,++++," + "1" * 200000 + ",0"
+    quoted = rows[2].split(",")
+    quoted[-1] = '"1\r\n"'
     cases = [
         # a duplicate ahead of a malformed row
         (rows[:3] + [",".join(copy)] + rows[3:10] + ["bad"] + rows[10:],
@@ -827,6 +827,11 @@ def test_reader_reports_first_fault_in_file_order(valid_files, tmp_path):
          "5: duplicate row", "(first at line 2)"),
         (rows[:3] + [huge] + rows[3:10] + ["bad"] + rows[10:],
          "5: malformed row (field larger than field limit", ""),
+        # a record spanning lines is named by its last line
+        (rows[:2] + ['120,"++\r\n++",1,0'] + rows[2:],
+         "5: malformed row (unknown omega_tuple '++\\r\\n++')", ""),
+        (rows[:2] + [",".join(quoted)] + rows[3:5] + rows[2:3] + rows[5:],
+         "8: duplicate row", "(first at line 5)"),
     ]
     path = str(tmp_path / "signals.csv")
     for body, where, first in cases:
@@ -982,16 +987,16 @@ def test_writer_output_takes_the_fast_path(small_config, tmp_path,
         raise AssertionError("row checker called")
 
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "_parse_chunk", unreachable)
+        patch.setattr(cli, "_parse_row", unreachable)
         fast = run()
     assert fast == checked
     assert fast[0] == (0, 0, [0, 0])
-    parse_chunk = cli._parse_chunk
+    parse_row = cli._parse_row
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return parse_chunk(*args)
+        return parse_row(*args)
 
     schema = _SCHEMAS["signals"]
     signal_path = os.path.join(out, "signals_gamma2.csv")
@@ -1002,7 +1007,7 @@ def test_writer_output_takes_the_fast_path(small_config, tmp_path,
     shuffled = str(tmp_path / "shuffled.csv")
     with open(shuffled, "w", newline="") as fh:
         fh.writelines([header] + rows)
-    monkeypatch.setattr(cli, "_parse_chunk", counted)
+    monkeypatch.setattr(cli, "_parse_row", counted)
     got = cli._read_rows(shuffled, *schema)
     assert calls
     for a, b in zip(got, expected):

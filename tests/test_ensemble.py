@@ -6,6 +6,7 @@ import pytest
 
 from dimerqpt import ensemble
 from dimerqpt.bath import build_redfield_generator, propagate_process_tensor
+from dimerqpt.config import default_config
 from dimerqpt.ensemble import (EnsembleSpec, evaluate_ensemble,
                                run_ensemble, sample_members,
                                synthesize_signal_table)
@@ -239,3 +240,27 @@ def test_singular_member_is_named(dimer, bath, toolbox, chunk, monkeypatch):
     monkeypatch.setattr(ensemble, "_CHUNK", chunk)
     with pytest.raises(SingularGeometryError, match=r"^member 3: geometry"):
         run_ensemble(members, bath, toolbox, T_GRID, want_tensors=False)
+
+
+def test_worst_conditioned_default_member_round_trips():
+    """The default ensemble's worst-conditioned member, cond(C) ~ 1.35e12,
+    still inverts its noiseless signals to its own propagator at every
+    default Gamma: cond(C) bounds the noise gain, not the exact-data error,
+    of the (base^-1)^(x)4 inverse."""
+    config = default_config()
+    members = sample_members(config.dimer, config.ensemble)
+    prepared = ensemble.prepare(members, 0, config.bath, config.toolbox,
+                                config.t_grid)
+    worst = int(np.argmax(prepared.cond_base))
+    assert worst == 7298
+    assert prepared.cond_base[worst] ** 4 == pytest.approx(1.35e12, rel=0.01)
+    one = ensemble.prepare(members[worst:worst + 1], worst, config.bath,
+                           config.toolbox, config.t_grid)
+    truth, truth_grounds = ensemble.propagators(one)
+    structure = pathway_structure(False)
+    for gamma in config.gamma_list:
+        gamma = np.array([gamma])
+        signals, _, _, _ = ensemble._evaluate(one, gamma, structure, False)
+        _, elements, grounds = ensemble.invert(one, gamma, signals)
+        assert np.max(np.abs(elements - truth)) <= 1e-12
+        assert np.max(np.abs(grounds - truth_grounds)) <= 1e-12

@@ -106,14 +106,11 @@ def test_choi_flags_nonpositive_map():
     assert diag.min_choi_eig < -0.5
 
 
-def test_invert_signals_exact_and_ridge(basis, toolbox, rng):
+def test_invert_signals_exact(basis, toolbox, rng):
     cmat = build_c_matrix(basis, toolbox)
     p = rng.normal(size=16) + 1j * rng.normal(size=16)
     s = cmat.entries @ p
     assert np.allclose(invert_signals(s, cmat), p, atol=1e-10)
-    # a tiny ridge must stay close to the exact solution
-    ridged = invert_signals(s, cmat, ridge=1e-30)
-    assert np.allclose(ridged, p, atol=1e-6)
 
 
 def test_closed_loop_single_time(basis, gen, toolbox):
@@ -139,15 +136,13 @@ def test_random_lindblad_round_trip(basis, toolbox, rng):
             assert tensor_distance(rec, truth) < 1e-10
 
 
-@pytest.mark.parametrize("relative_ridge", [0.0, 1e-6])
-def test_stacked_inversion_matches_single_rows(geometries, bath, toolbox, rng,
-                                               relative_ridge):
+def test_stacked_inversion_matches_single_rows(geometries, bath, toolbox,
+                                               rng):
     t_grid = np.array([120.0, 260.0, 400.0, 700.0])
     for dimer in geometries:
         basis = build_exciton_basis(dimer)
         gen = build_redfield_generator(basis, bath)
         cmat = build_c_matrix(basis, toolbox)
-        ridge = relative_ridge * np.linalg.norm(cmat.entries, 2) ** 2
         for verbatim in (False, True):
             blocks = build_m_blocks(basis, 1.3, verbatim=verbatim)
             clean = np.array([
@@ -158,10 +153,10 @@ def test_stacked_inversion_matches_single_rows(geometries, bath, toolbox, rng,
             # noise makes the data inconsistent, so residuals are nonzero
             signals = clean * (1 + 1e-3 * rng.normal(size=clean.shape))
             elements, grounds, residuals = reconstruct_rows(
-                signals, cmat, blocks, ridge=ridge)
+                signals, cmat, blocks)
             for k, t in enumerate(t_grid):
                 tensor, residual = reconstruct_single(
-                    signals[k], cmat, blocks, t, ridge=ridge)
+                    signals[k], cmat, blocks, t)
                 assert np.max(np.abs(elements[k] - tensor.elements)) < 1e-13
                 assert np.max(np.abs(grounds[k] - tensor.ground_row)) < 1e-13
                 assert abs(residuals[k] - residual) < 1e-13
