@@ -11,10 +11,11 @@ import contextlib
 import csv
 from dataclasses import replace
 import functools
-from itertools import product
+from itertools import chain, islice, product
 import json
 import math
 import os
+import re
 import sys
 import warnings
 
@@ -52,16 +53,63 @@ def _gamma_tag(gamma):
     return f"{gamma:g}"
 
 
+def _normalized(name):
+    """A distribution name as importlib.metadata matches it: each run of
+    ``-``, ``_`` and ``.`` as one ``_``, in lower case."""
+    return re.sub(r"[-_.]+", "_", name).lower()
+
+
+def _metadata_version(path):
+    """The ``Version`` header of the distribution metadata at ``path``, or
+    "unknown".  As importlib.metadata does, this reads the first nonempty
+    of ``path/METADATA``, ``path/PKG-INFO`` and (an .egg-info file) ``path``
+    as UTF-8; the headers end at the first empty line."""
+    for target in (os.path.join(path, "METADATA"),
+                   os.path.join(path, "PKG-INFO"), path):
+        try:
+            with open(target, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError:
+            continue
+        except UnicodeDecodeError:
+            return "unknown"
+        if text:
+            break
+    else:
+        return "unknown"
+    for line in text.splitlines():
+        if not line:
+            break
+        header, colon, value = line.partition(":")
+        if colon and header.lower() == "version":
+            return value.strip()
+    return "unknown"
+
+
 @functools.cache
 def _distribution_version(name):
-    """Installed version of a distribution, read from its metadata (so
-    without importing it), or "unknown"; read once per process, as parsing
-    the metadata takes milliseconds."""
-    try:
-        from importlib.metadata import version
-        return version(name)
-    except Exception:
-        return "unknown"
+    """Installed version of a distribution, or "unknown": that of the first
+    ``<name>-*.dist-info`` or ``<name>*.egg-info`` entry of a ``sys.path``
+    directory (in listing order), the one importlib.metadata.version reads.
+
+    Neither the distribution nor importlib.metadata is imported: the latter
+    loads the email package, about 1.4 MiB of resident memory kept for the
+    life of the process.  Zip archives on ``sys.path`` are not searched.
+    Looked up once per process.
+    """
+    wanted = _normalized(name)
+    for entry in sys.path:
+        try:
+            children = os.listdir(entry or ".")
+        except OSError:
+            continue
+        for child in children:
+            low = child.lower()
+            if (low.endswith((".dist-info", ".egg-info"))
+                    and _normalized(low.rpartition(".")[0].partition("-")[0])
+                    == wanted):
+                return _metadata_version(os.path.join(entry, child))
+    return "unknown"
 
 
 def _write_manifest(config, outdir):
@@ -158,13 +206,24 @@ def _parse_row(fields, width, slots, key_name):
     return t, key, complex(re, im)
 
 
-def _guarded_lines(fh):
+def _guarded_lines(fh, keys):
     """The lines of ``fh``, up to one that is longer than
     ``csv.field_size_limit()`` or holds a NUL, which raises ValueError: the
     first may hold a field the csv module rejects, and a NUL ending a key
-    would vanish in a numpy bytes field."""
+    would vanish in a numpy bytes field.
+
+    The first ``len(keys)`` lines are read and checked before any is
+    yielded: if they are not one block of the writer's layout (key fields
+    ``keys`` in order, one T text), ValueError is raised before any line is
+    parsed, which sends a shuffled or reversed file on at once.
+    """
+    block = list(islice(fh, len(keys)))
+    fields = [line.split(",") for line in block]
+    if any(row[0] != fields[0][0] or ",".join(row[1:-2]) != key
+           for row, key in zip(fields, keys)):
+        raise ValueError("file left to the row checker")
     limit = csv.field_size_limit()
-    for line in fh:
+    for line in chain(block, fh):
         if len(line) > limit or "\0" in line:
             raise ValueError("line left to the row checker")
         yield line
@@ -176,7 +235,8 @@ def _read_writer_layout(fh, header, slots):
 
     The writer's layout is ``header`` as the writer writes it, then for each
     T in strictly increasing order one block of rows, a row per key in slot
-    order, each row carrying the same T and finite numbers.  One
+    order, each row carrying the same T and finite numbers.  The first
+    block is checked as text (``_guarded_lines``), then one
     ``np.loadtxt`` call parses the rows; it reads numbers with the parser
     ``float`` uses, so a file accepted here is accepted by the row checker
     with the same (T, values) (a T spelled 0 and -0 in one block is that of
@@ -186,16 +246,17 @@ def _read_writer_layout(fh, header, slots):
     """
     if fh.readline() != ",".join(header) + "\r\n":
         return None
+    names = sorted(slots, key=slots.get)
     # (k, key fields) bytes: the key fields of a block's rows, in slot order
-    keys = np.array([key.split(",") for key in sorted(slots, key=slots.get)],
-                    dtype=bytes)
+    keys = np.array([key.split(",") for key in names], dtype=bytes)
     dtype = [("t", "f8"), ("key", f"S{keys.itemsize + 1}", keys.shape[1:]),
              ("re", "f8"), ("im", "f8")]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            rows = np.loadtxt(_guarded_lines(fh), dtype=dtype, delimiter=",",
-                              quotechar=None, comments=None, ndmin=1)
+            rows = np.loadtxt(_guarded_lines(fh, names), dtype=dtype,
+                              delimiter=",", quotechar=None, comments=None,
+                              ndmin=1)
         except (ValueError, Warning):
             return None
     if len(rows) % len(keys):

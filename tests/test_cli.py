@@ -162,27 +162,55 @@ def test_malformed_config_value_rejected(tmp_path, capsys, monkeypatch, key,
     assert os.listdir(tmp_path) == ["cfg.json"]
 
 
+def _installed_version(name):
+    try:
+        return metadata.version(name)
+    except metadata.PackageNotFoundError:
+        return "unknown"
+
+
 def test_manifest_versions_without_importing_scipy(config_path,
                                                    small_config):
     """simulate records the library versions from their metadata: scipy is
-    never imported, and the manifest names the installed distributions."""
+    never imported, nor importlib.metadata or the email package it loads,
+    and the manifest names the installed distributions."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     probe = ("import sys; from dimerqpt.cli import main; "
              "rc = main(['simulate', '--config', sys.argv[1]]); "
-             "print(rc, 'scipy' in sys.modules)")
+             "print(rc, *(name in sys.modules for name in "
+             "('scipy', 'importlib.metadata', 'email')))")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", probe, config_path], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["0", "False"]
+    assert out.split() == ["0", "False", "False", "False"]
     with open(os.path.join(small_config.output_dir,
                            "run_manifest.json")) as fh:
         versions = json.load(fh)["versions"]
-    try:
-        own = metadata.version("dimerqpt")
-    except metadata.PackageNotFoundError:
-        own = "unknown"
-    assert versions == {"dimerqpt": own, "numpy": metadata.version("numpy"),
-                        "scipy": metadata.version("scipy")}
+    assert versions == {name: _installed_version(name)
+                        for name in ("dimerqpt", "numpy", "scipy")}
+
+
+def test_distribution_version_matches_importlib_metadata(tmp_path,
+                                                         monkeypatch):
+    """The manifest's version lookup gives what importlib.metadata.version
+    gives: for numpy and scipy, for a dist-info directory and an egg-info
+    file put first on sys.path, and "unknown" for a name not installed."""
+    info = tmp_path / "foo-1.2.3.dist-info"
+    info.mkdir()
+    (info / "METADATA").write_text(
+        "Metadata-Version: 2.1\nName: foo\nVersion: 1.2.3\n\n"
+        "Version: 9 (a body line, not a header)\n")
+    (tmp_path / "Bar_Baz-0.4.egg-info").write_text(
+        "Metadata-Version: 1.0\nName: bar.baz\nversion: 0.4.dev1\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    lookup = cli._distribution_version.__wrapped__
+    names = ["numpy", "scipy", "foo", "FOO", "bar-baz", "bar.baz",
+             "dimerqpt", "no-such-distribution-xyz"]
+    got = {name: lookup(name) for name in names}
+    assert got == {name: _installed_version(name) for name in names}
+    assert got["foo"] == "1.2.3" and got["bar-baz"] == "0.4.dev1"
+    assert got["numpy"] == np.__version__
+    assert got["no-such-distribution-xyz"] == "unknown"
 
 
 def test_simulate_reconstruct_validate_flow(config_path, small_config):
@@ -1012,3 +1040,28 @@ def test_writer_output_takes_the_fast_path(small_config, tmp_path,
     assert calls
     for a, b in zip(got, expected):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("stem", ["signals", "tensors"])
+@pytest.mark.parametrize("order", ["shuffled", "reversed", "mixed T"])
+def test_other_layout_leaves_fast_path_within_first_block(valid_files, stem,
+                                                          order):
+    """A file whose rows are shuffled or reversed, or whose first block
+    has its keys in order but two T values, leaves the writer-layout path
+    after its header and at most one block of rows are read, before any
+    row is parsed."""
+    _, files = valid_files
+    header, *rows = files[stem]
+    schema_header, slots, _ = _SCHEMAS[stem]
+    if order == "shuffled":
+        random.Random(3).shuffle(rows)
+    elif order == "reversed":
+        rows.reverse()
+    else:
+        # the second rows of the first two blocks trade places
+        k = len(slots)
+        rows[1], rows[k + 1] = rows[k + 1], rows[1]
+    fh = io.StringIO("".join(line + "\r\n" for line in [header] + rows),
+                     newline="")
+    assert cli._read_writer_layout(fh, schema_header, slots) is None
+    assert len(fh.readlines()) >= len(rows) - len(slots)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dimerqpt import ensemble
+from dimerqpt import cli, ensemble
 from dimerqpt.bath import build_redfield_generator, propagate_process_tensor
 from dimerqpt.config import default_config
 from dimerqpt.ensemble import (EnsembleSpec, evaluate_ensemble,
@@ -264,3 +264,58 @@ def test_worst_conditioned_default_member_round_trips():
         _, elements, grounds = ensemble.invert(one, gamma, signals)
         assert np.max(np.abs(elements - truth)) <= 1e-12
         assert np.max(np.abs(grounds - truth_grounds)) <= 1e-12
+
+
+def _max_error(elements, grounds, truth, truth_grounds):
+    """Per waiting time, the largest element or ground-row error."""
+    n = len(elements)
+    return np.maximum(
+        np.abs(elements - truth).reshape(n, -1).max(axis=1),
+        np.abs(grounds - truth_grounds).reshape(n, -1).max(axis=1))
+
+
+def test_noise_gain_within_two_stage_bound():
+    """Seeded noise study: the homogeneous default dimer's signals with the
+    CLI's relative noise 1e-3, 10 draws, every default Gamma.  At each T
+    the largest element or ground-row error against the propagator stays
+    within 2 |ds|_2 / (s_min(base)^4 min_b s_min(M_b(Gamma))).
+
+    sigma_min(C) = s_min(base)^4 bounds the first stage and the smallest
+    block singular value the second, so the parameter error is at most
+    |ds|_2 / (s_min(base)^4 min_b s_min(M_b)).  An element is one
+    parameter or Re + i Im of two, so its error is at most that; a
+    ground-row entry is minus the sum of two elements, hence the factor 2.
+    The bound is for exact arithmetic, so twice the noiseless round trip's
+    error at that T is allowed on top.
+    """
+    config = default_config()
+    one = ensemble.prepare([config.dimer], 0, config.bath, config.toolbox,
+                           config.t_grid)
+    truth, truth_grounds = (array[0] for array in ensemble.propagators(one))
+    first_stage = np.linalg.svd(one.base[0], compute_uv=False)[-1] ** 4
+    results = evaluate_ensemble([config.dimer], config.bath, config.toolbox,
+                                config.t_grid, config.gamma_list,
+                                want_tensors=False)
+    medians = {}
+    for index, (gamma, result) in enumerate(zip(config.gamma_list,
+                                                results)):
+        clean = result.signal_table.values              # (T, 16)
+        blocks, (elements,), (grounds,) = ensemble.invert(
+            one, np.array([gamma]), clean.T[None])
+        rounding = _max_error(elements, grounds, truth, truth_grounds)
+        second_stage = min(np.linalg.svd(block[0], compute_uv=False)[-1]
+                           for block in (blocks.m_ee, blocks.m_epep,
+                                         blocks.m_eep))
+        worst = []
+        for seed in range(10):
+            noisy = cli._apply_noise(clean, 1e-3, seed, index)
+            _, (elements,), (grounds,) = ensemble.invert(
+                one, np.array([gamma]), noisy.T[None], blocks=blocks)
+            error = _max_error(elements, grounds, truth, truth_grounds)
+            bound = (2 * np.linalg.norm(noisy - clean, axis=1)
+                     / (first_stage * second_stage))
+            assert (error <= bound + 2 * rounding).all(), (gamma, seed)
+            worst.append(error.max())
+        medians[gamma] = float(np.median(worst))
+    print("median max element error per Gamma, relative noise 1e-3:",
+          {gamma: f"{error:.2e}" for gamma, error in medians.items()})
