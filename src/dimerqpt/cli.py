@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 
 from .config import (ExperimentConfig, config_to_dict, default_config,
-                     load_config)
+                     gamma_tag, load_config)
 from .ensemble import (evaluate_ensemble, invert, prepare, propagators,
                        sample_members)
 from .errors import ConfigError, DimerQptError
@@ -47,10 +47,6 @@ _TENSOR_SLOT = {",".join(key): slot for slot, key in enumerate(_TENSOR_ROWS)}
 # a byte that is not valid text becomes a lone surrogate in its field, which
 # then fails to parse; messages show it escaped, as repr does
 _DECODE_ERRORS = "surrogateescape"
-
-
-def _gamma_tag(gamma):
-    return f"{gamma:g}"
 
 
 def _normalized(name):
@@ -125,7 +121,7 @@ def _write_manifest(config, outdir):
 
 
 def _signal_paths(config, gamma):
-    tag = _gamma_tag(gamma)
+    tag = gamma_tag(gamma)
     return (os.path.join(config.output_dir, f"signals_gamma{tag}.csv"),
             os.path.join(config.output_dir, f"pathways_gamma{tag}.csv"))
 
@@ -377,7 +373,7 @@ def cmd_reconstruct(config: ExperimentConfig):
                                     verbatim=config.verbatim_terms,
                                     want_tensors=True)
     tensor_paths = [os.path.join(config.output_dir,
-                                 f"tensors_gamma{_gamma_tag(gamma)}.csv")
+                                 f"tensors_gamma{gamma_tag(gamma)}.csv")
                     for gamma in config.gamma_list]
     report_path = os.path.join(config.output_dir, "reconstruction_report.txt")
     # a run that stops part-way must not leave an earlier run's outputs
@@ -388,7 +384,7 @@ def cmd_reconstruct(config: ExperimentConfig):
     report_lines = []
     failed = False
     for gamma, tensor_path in zip(config.gamma_list, tensor_paths):
-        tag = _gamma_tag(gamma)
+        tag = gamma_tag(gamma)
         if config.homogeneous_only:
             sig_path, _ = _signal_paths(config, gamma)
             try:
@@ -416,14 +412,15 @@ def cmd_reconstruct(config: ExperimentConfig):
                 f"gamma={tag}: member-wise ensemble average over "
                 f"{result.n_members} members, cond(C base)="
                 f"{nominal.cond_base[0]:.6g}")
-        diagnostics = validate_tensors(elements, grounds)
-        for t, diag in zip(config.t_grid, diagnostics):
-            report_lines.append(
-                f"gamma={tag} T={t:g}: herm={diag.hermiticity_defect:.3e} "
-                f"trace={diag.trace_defect:.3e} "
-                f"min_choi_eig={diag.min_choi_eig:.3e}")
-            if not diag.passed(herm_tol=1e-8, trace_tol=1e-8, choi_tol=1e-8):
-                failed = True
+        diag = validate_tensors(elements, grounds)
+        failed = failed or not diag.passed(herm_tol=1e-8, trace_tol=1e-8,
+                                           choi_tol=1e-8).all()
+        report_lines += [
+            f"gamma={tag} T={t:g}: herm={herm:.3e} trace={trace:.3e} "
+            f"min_choi_eig={eig:.3e}"
+            for t, herm, trace, eig in zip(
+                config.t_grid, diag.hermiticity_defect.tolist(),
+                diag.trace_defect.tolist(), diag.min_choi_eig.tolist())]
         _write_tensor_csv(tensor_path, elements, grounds, config.t_grid)
     report = "\n".join(report_lines) + "\n"
     with open(report_path, "w") as fh:
@@ -448,19 +445,17 @@ def cmd_validate(tensor_csv, tolerance=1e-8):
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    failed = False
-    lines = []
-    diagnostics = validate_tensors(elements, grounds)
-    for t, diag in zip(times.tolist(), diagnostics):
-        ok = diag.passed(herm_tol=tolerance, trace_tol=tolerance,
-                         choi_tol=tolerance)
-        failed = failed or not ok
-        status = "pass" if ok else "FAIL"
-        lines.append(f"T={t:g}: herm={diag.hermiticity_defect:.3e} "
-                     f"trace={diag.trace_defect:.3e} "
-                     f"min_choi_eig={diag.min_choi_eig:.3e} [{status}]\n")
-    sys.stdout.write("".join(lines))
-    return EXIT_VALIDATION if failed else EXIT_OK
+    diag = validate_tensors(elements, grounds)
+    ok = diag.passed(herm_tol=tolerance, trace_tol=tolerance,
+                     choi_tol=tolerance)
+    sys.stdout.write("".join(
+        f"T={t:g}: herm={herm:.3e} trace={trace:.3e} "
+        f"min_choi_eig={eig:.3e} [{'pass' if passed else 'FAIL'}]\n"
+        for t, herm, trace, eig, passed in zip(
+            times.tolist(), diag.hermiticity_defect.tolist(),
+            diag.trace_defect.tolist(), diag.min_choi_eig.tolist(),
+            ok.tolist())))
+    return EXIT_OK if ok.all() else EXIT_VALIDATION
 
 
 def cmd_report(output_dir):
@@ -557,16 +552,10 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except DimerQptError as exc:
+    except (ValueError, DimerQptError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     return EXIT_CONFIG

@@ -26,6 +26,11 @@ DEFAULT_GAMMAS = (0.0, 0.5, 1.0, 1.5, 2.0)
 _INTEGERS = {"ensemble.n_members": 1, "ensemble.seed": 0}
 
 
+def gamma_tag(gamma):
+    """The text naming ``gamma`` in file names: ``*_gamma<tag>.csv``."""
+    return f"{gamma:g}"
+
+
 def _require_finite(where, value):
     """Raise ConfigError naming ``where`` unless ``value`` is a finite real
     number (a bool is not one)."""
@@ -73,9 +78,15 @@ class ExperimentConfig:
             raise ConfigError("t_grid: must be strictly increasing")
         if not self.gamma_list:
             raise ConfigError("gamma_list: must be nonempty")
-        for g in self.gamma_list:
+        tags = [gamma_tag(g) for g in self.gamma_list]
+        for k, g in enumerate(self.gamma_list):
             if not 0.0 <= g <= 2.0:
                 raise ConfigError(f"gamma_list: value {g} outside [0, 2]")
+            first = tags.index(tags[k])     # one file per tag
+            if first < k:
+                raise ConfigError(
+                    f"gamma_list: entries {first} ({self.gamma_list[first]!r})"
+                    f" and {k} ({g!r}) share the file tag gamma{tags[k]}")
         if self.noise is not None and self.noise < 0:
             raise ConfigError("noise: relative width must be >= 0")
 

@@ -10,7 +10,7 @@ matrix are set to zero, which corresponds to composing the map with
 complete optical dephasing and cannot spoil complete positivity.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,35 +19,28 @@ from .isoaverage import MBlocks, solve_tensors
 from .model import E, EP
 from .pulses import CMatrix, kron_solve
 
-# waiting times per stacked eigvalsh call: on 1000 tensors, 64 was as fast
-# as any size from 16 to 1000, and it keeps the temporaries small
-_CHOI_CHUNK = 64
 
-
-def _choi_stack(elements, grounds):
-    """(n, 9, 9) Choi matrices of elements (n, 2, 2, 2, 2), grounds (n, 2, 2).
+def choi_matrix(tensor: ProcessTensor):
+    """9x9 Choi matrix of the map on span{g, e, ep}.
 
     Entry [(nu, n), (mu, m)] is the amplitude taking the input element
     |nu><mu| to the output element |n><m|.  The ground population is a fixed
     point; blocks fed by optical coherences are zero (full optical
-    dephasing).
+    dephasing).  So the matrix is 1 + 0_2 + G + X on rows {0}, {1, 2},
+    {3, 6} and {4, 5, 7, 8}: G the ground row, X[(nu, n), (mu, m)] the
+    element [n, m, nu, mu].
     """
-    chi = np.zeros((len(elements), 3, 3, 3, 3), dtype=complex)
-    chi[:, 0, 0, 0, 0] = 1.0
-    chi[:, 0, 0, 1:, 1:] = grounds
-    chi[:, 1:, 1:, 1:, 1:] = elements
-    # rows indexed by (input ket, output ket), columns by (input bra, output bra)
-    return chi.transpose(0, 3, 1, 4, 2).reshape(-1, 9, 9)
-
-
-def choi_matrix(tensor: ProcessTensor):
-    """9x9 Choi matrix of the map on span{g, e, ep} (see ``_choi_stack``)."""
-    return _choi_stack(tensor.elements[None], tensor.ground_row[None])[0]
+    chi = np.zeros((3, 3, 3, 3), dtype=complex)
+    chi[0, 0, 0, 0] = 1.0
+    chi[0, 0, 1:, 1:] = tensor.ground_row
+    chi[1:, 1:, 1:, 1:] = tensor.elements
+    # rows (input ket, output ket), columns (input bra, output bra)
+    return chi.transpose(2, 0, 3, 1).reshape(9, 9)
 
 
 @dataclass(frozen=True)
 class TensorDiagnostics:
-    """Physicality figures of merit for one reconstructed tensor."""
+    """Physicality figures: floats for one tensor, (n,) arrays for n."""
 
     hermiticity_defect: float
     trace_defect: float
@@ -55,19 +48,20 @@ class TensorDiagnostics:
     choi_hermiticity_defect: float
 
     def passed(self, herm_tol=1e-10, trace_tol=1e-10, choi_tol=1e-8):
-        return (self.hermiticity_defect <= herm_tol
-                and self.trace_defect <= trace_tol
-                and self.min_choi_eig >= -choi_tol)
+        return ((self.hermiticity_defect <= herm_tol)
+                & (self.trace_defect <= trace_tol)
+                & (self.min_choi_eig >= -choi_tol))
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def validate_tensors(elements, grounds):
+def validate_tensors(elements, grounds) -> TensorDiagnostics:
     """Diagnostics of n tensors: elements (n, 2, 2, 2, 2), grounds (n, 2, 2).
 
-    Returns a list of n ``TensorDiagnostics``.  The Choi matrices are built
-    and diagonalized ``_CHOI_CHUNK`` waiting times at a time, one stacked
-    ``eigvalsh`` call per chunk.  A defect too large for a double is inf,
-    and a tensor that is not finite gets ``min_choi_eig`` NaN: both fail.
+    Returns one ``TensorDiagnostics`` of (n,) arrays.  The Choi matrix is
+    1 + 0_2 + G + X (``choi_matrix``), so ``min_choi_eig`` is <= 0, the
+    least of 0 and the Hermitian parts' eigenvalues (one stacked ``eigvalsh``
+    per block).  A defect too large for a double is inf, and a tensor that
+    is not finite gets ``min_choi_eig`` NaN: both fail.
     """
     elements = np.asarray(elements)
     grounds = np.asarray(grounds)
@@ -75,28 +69,28 @@ def validate_tensors(elements, grounds):
     herm = np.abs(elements - np.conj(elements.transpose(0, 2, 1, 4, 3)))
     trace = np.abs(grounds + elements[:, E, E] + elements[:, EP, EP]
                    - np.eye(2))
-    choi_herm = np.empty(n)
-    min_eig = np.full(n, np.nan)
-    for start in range(0, n, _CHOI_CHUNK):
-        part = slice(start, start + _CHOI_CHUNK)
-        c = _choi_stack(elements[part], grounds[part])
-        c_h = c.conj().transpose(0, 2, 1)
-        choi_herm[part] = np.max(np.abs(c - c_h), axis=(1, 2))
+    finite = (np.isfinite(elements).reshape(n, -1).all(axis=1)
+              & np.isfinite(grounds).reshape(n, -1).all(axis=1))
+    choi_herm = np.zeros(n)
+    min_eig = np.zeros(n)
+    for block in (grounds, elements.transpose(0, 3, 1, 4, 2).reshape(n, 4, 4)):
+        block_h = block.conj().transpose(0, 2, 1)
+        choi_herm = np.maximum(choi_herm,
+                               np.max(np.abs(block - block_h), axis=(1, 2)))
         # halves first: the sum of two finite halves cannot overflow
-        finite = np.isfinite(c).all(axis=(1, 2))
-        eig = np.linalg.eigvalsh(0.5 * c[finite] + 0.5 * c_h[finite])
-        min_eig[start + np.flatnonzero(finite)] = eig.min(axis=1)
-    return [TensorDiagnostics(hermiticity_defect=h, trace_defect=tr,
-                              min_choi_eig=eig, choi_hermiticity_defect=ch)
-            for h, tr, eig, ch in zip(
-                herm.reshape(n, -1).max(axis=1).tolist(),
-                trace.reshape(n, -1).max(axis=1).tolist(),
-                min_eig.tolist(), choi_herm.tolist())]
+        eig = np.linalg.eigvalsh(0.5 * block[finite] + 0.5 * block_h[finite])
+        min_eig[finite] = np.minimum(min_eig[finite], eig.min(axis=1))
+    min_eig[~finite] = np.nan
+    return TensorDiagnostics(
+        hermiticity_defect=herm.reshape(n, -1).max(axis=1),
+        trace_defect=trace.reshape(n, -1).max(axis=1),
+        min_choi_eig=min_eig, choi_hermiticity_defect=choi_herm)
 
 
 def validate_tensor(tensor: ProcessTensor) -> TensorDiagnostics:
-    """Diagnostics of one tensor: the one-row case of ``validate_tensors``."""
-    return validate_tensors(tensor.elements[None], tensor.ground_row[None])[0]
+    """Diagnostics of one tensor, as floats: ``validate_tensors`` of one."""
+    stacked = validate_tensors(tensor.elements[None], tensor.ground_row[None])
+    return TensorDiagnostics(*(float(a[0]) for a in vars(stacked).values()))
 
 
 def invert_signals(signals, cmatrix: CMatrix):
@@ -140,7 +134,7 @@ class ReconstructionReport:
     waiting_times: np.ndarray
     tensors: list
     pathway_residuals: np.ndarray
-    diagnostics: list = field(default_factory=list)
+    diagnostics: TensorDiagnostics
     reference_errors: np.ndarray = None
     c_condition: float = None
     m_conditions: dict = None
@@ -151,8 +145,8 @@ class ReconstructionReport:
         return float(np.max(self.reference_errors))
 
     def all_physical(self, herm_tol=1e-10, trace_tol=1e-10, choi_tol=1e-8):
-        return all(d.passed(herm_tol, trace_tol, choi_tol)
-                   for d in self.diagnostics)
+        return bool(self.diagnostics.passed(herm_tol, trace_tol,
+                                            choi_tol).all())
 
 
 def tensor_distance(a: ProcessTensor, b: ProcessTensor):

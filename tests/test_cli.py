@@ -162,6 +162,29 @@ def test_malformed_config_value_rejected(tmp_path, capsys, monkeypatch, key,
     assert os.listdir(tmp_path) == ["cfg.json"]
 
 
+@pytest.mark.parametrize("gammas, shown, tag", [
+    ([1.0, 1.0000001], ("0 (1.0)", "1 (1.0000001)"), "gamma1"),
+    ([0.5, 2, 2], ("1 (2.0)", "2 (2.0)"), "gamma2")])
+@pytest.mark.parametrize("command", ["simulate", "reconstruct"])
+def test_gamma_values_sharing_a_file_tag_rejected(tmp_path, capsys,
+                                                   monkeypatch, gammas, shown,
+                                                   tag, command):
+    """Two Gamma values whose file names would be the same exit 2, naming
+    both entries and the tag, before anything is written: otherwise one
+    Gamma is inverted with the other's signals."""
+    data = config_to_dict(default_config(output_dir="out"))
+    data["homogeneous_only"] = True
+    data["t_grid"] = [120.0, 200.0]
+    data["gamma_list"] = gammas
+    (tmp_path / "cfg.json").write_text(json.dumps(data))
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--config", "cfg.json"]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"configuration error: gamma_list: entries {shown[0]} and "
+                   f"{shown[1]} share the file tag {tag}\n")
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
 def _installed_version(name):
     try:
         return metadata.version(name)

@@ -7,10 +7,10 @@ from dimerqpt.bath import (ProcessTensor, build_redfield_generator,
 from dimerqpt.isoaverage import build_m_blocks
 from dimerqpt.model import build_exciton_basis
 from dimerqpt.pulses import build_c_matrix
-from dimerqpt.reconstruct import (_CHOI_CHUNK, choi_matrix, invert_signals,
-                                  reconstruct, reconstruct_rows,
-                                  reconstruct_single, tensor_distance,
-                                  validate_tensor, validate_tensors)
+from dimerqpt.reconstruct import (choi_matrix, invert_signals, reconstruct,
+                                  reconstruct_rows, reconstruct_single,
+                                  tensor_distance, validate_tensor,
+                                  validate_tensors)
 from dimerqpt.response import SignalTable, iso_pathway_vector
 
 
@@ -181,7 +181,8 @@ def test_reconstruct_report(basis, gen, toolbox):
 def test_validate_tensor_diagnostics(gen):
     truth = propagate_process_tensor(gen, 500.0)
     diag = validate_tensor(truth)
-    assert diag.passed()
+    assert {type(figure) for figure in vars(diag).values()} == {float}
+    assert diag.passed() is True
     # breaking hermiticity is caught
     broken = truth.elements.copy()
     broken[0, 1, 0, 0] += 1e-3
@@ -189,16 +190,26 @@ def test_validate_tensor_diagnostics(gen):
     assert not validate_tensor(bad).passed()
 
 
-def _diagnostic_table(diagnostics):
-    return np.array([[d.hermiticity_defect, d.trace_defect, d.min_choi_eig,
-                      d.choi_hermiticity_defect] for d in diagnostics])
+_FIGURES = ("hermiticity_defect", "trace_defect", "min_choi_eig",
+            "choi_hermiticity_defect")
+# principal submatrices of the Choi matrix that are not fixed: the ground-row
+# block G and the single-exciton block X
+_CHOI_BLOCKS = [np.ix_(rows, rows) for rows in ([3, 6], [4, 5, 7, 8])]
 
 
-@pytest.mark.parametrize("n", [1, 2 * _CHOI_CHUNK + 5])
-def test_validate_tensors_matches_per_tensor_reference(rng, n):
-    """Stacked diagnostics equal, bit for bit, the figures computed one
-    tensor at a time from choi_matrix and eigvalsh, for physical,
-    non-Hermitian and non-CP tensors."""
+def _diagnostic_table(diag):
+    """(n, 4) figures of one stacked TensorDiagnostics."""
+    return np.column_stack([getattr(diag, name) for name in _FIGURES])
+
+
+def _per_tensor_table(tensors):
+    """(n, 4) figures of validate_tensor, one tensor at a time."""
+    return np.array([[getattr(validate_tensor(t), name) for name in _FIGURES]
+                     for t in tensors])
+
+
+def _mixed_tensors(rng, n):
+    """n tensors cycling physical, non-Hermitian and Hermitian non-CP."""
     swap = np.zeros((2, 2, 2, 2), dtype=complex)
     for a in (0, 1):
         for b in (0, 1):
@@ -214,22 +225,85 @@ def test_validate_tensors_matches_per_tensor_reference(rng, n):
             ground = 0.5 * ground
         tensors.append(ProcessTensor(waiting_time=float(k), elements=elements,
                                      ground_row=ground))
+    return tensors
+
+
+def _stack(tensors):
+    return validate_tensors(np.array([t.elements for t in tensors]),
+                            np.array([t.ground_row for t in tensors]))
+
+
+@pytest.mark.parametrize("n", [1, 133])
+def test_validate_tensors_matches_per_tensor_reference(rng, n):
+    """Stacked diagnostics equal, bit for bit, the figures computed one
+    tensor at a time from choi_matrix, for physical, non-Hermitian and
+    non-CP tensors: the defects from the whole 9x9 matrix, the minimum
+    eigenvalue from its two blocks G and X, whose direct sum with 1 and
+    0_2 the matrix is."""
+    tensors = _mixed_tensors(rng, n)
     reference = []
     for tensor in tensors:
         el, gr = tensor.elements, tensor.ground_row
         c = choi_matrix(tensor)
+        fixed = np.zeros((9, 9), dtype=complex)
+        fixed[0, 0] = 1.0
+        for block in _CHOI_BLOCKS:
+            fixed[block] = c[block]
+        assert np.array_equal(c, fixed)
+        block_min = min(0.0, *(
+            np.min(np.linalg.eigvalsh(0.5 * b + 0.5 * b.conj().T))
+            for b in (c[block] for block in _CHOI_BLOCKS)))
+        full_min = np.min(np.linalg.eigvalsh(0.5 * (c + c.conj().T)))
+        assert abs(block_min - full_min) <= 1e-14 * max(1.0,
+                                                        np.linalg.norm(c))
         reference.append([
             np.max(np.abs(el - np.conj(el.transpose(1, 0, 3, 2)))),
             np.max(np.abs(gr + el[0, 0] + el[1, 1] - np.eye(2))),
-            np.min(np.linalg.eigvalsh(0.5 * (c + c.conj().T))),
+            block_min,
             np.max(np.abs(c - c.conj().T))])
-    stacked = validate_tensors(np.array([t.elements for t in tensors]),
-                               np.array([t.ground_row for t in tensors]))
-    assert len(stacked) == n
+    stacked = _stack(tensors)
     assert np.array_equal(_diagnostic_table(stacked), np.array(reference))
     assert np.array_equal(_diagnostic_table(stacked),
-                          _diagnostic_table(map(validate_tensor, tensors)))
-    if n > 1:
-        flags = [d.passed() for d in stacked]
-        assert flags[0::3] == [True] * len(flags[0::3])
-        assert not any(flags[1::3]) and not any(flags[2::3])
+                          _per_tensor_table(tensors))
+    assert np.all(stacked.min_choi_eig <= 0.0)
+    flags = stacked.passed()
+    assert flags.shape == (n,)
+    assert flags[0::3].all()
+    assert not flags[1::3].any() and not flags[2::3].any()
+
+
+def test_validate_tensors_non_finite(rng):
+    """A tensor holding inf and one holding NaN get min_choi_eig NaN and
+    fail; every figure of the other tensors in the stack is its
+    single-tensor value, bit for bit.  A finite 1e308 keeps a finite
+    min_choi_eig: the Hermitian part is formed from halves, which cannot
+    overflow."""
+    tensors = _mixed_tensors(rng, 9)
+    huge = tensors[3].elements.copy()
+    huge[0, 0, 0, 0] = 1e308
+    tensors[3] = ProcessTensor(waiting_time=3.0, elements=huge,
+                               ground_row=tensors[3].ground_row)
+    bad_elements = tensors[2].elements.copy()
+    bad_elements[1, 0, 1, 1] = np.inf
+    bad_ground = tensors[6].ground_row.copy()
+    bad_ground[0, 1] = complex(0.0, np.nan)
+    tensors[2] = ProcessTensor(waiting_time=2.0, elements=bad_elements,
+                               ground_row=tensors[2].ground_row)
+    tensors[6] = ProcessTensor(waiting_time=6.0,
+                               elements=tensors[6].elements,
+                               ground_row=bad_ground)
+    stacked = _stack(tensors)
+    bad = np.zeros(9, dtype=bool)
+    bad[[2, 6]] = True
+    assert np.isnan(stacked.min_choi_eig[bad]).all()
+    assert not stacked.passed()[bad].any()
+    for k in (2, 6):
+        single = validate_tensor(tensors[k])
+        assert np.isnan(single.min_choi_eig) and not single.passed()
+    assert np.array_equal(_diagnostic_table(stacked)[~bad],
+                          _per_tensor_table(tensors)[~bad])
+    assert np.isfinite(stacked.min_choi_eig[3])
+    # of tensors 0, 1, 3, 4, 5, 7, 8 only 0 passes: 3 holds 1e308, and the
+    # others are not Hermitian or not CP
+    assert stacked.passed()[~bad].tolist() == [True, False, False, False,
+                                               False, False, False]
