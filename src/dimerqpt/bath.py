@@ -53,9 +53,9 @@ def bose_occupation(omega, bath: BathParams):
     """Mean thermal occupation of a mode at omega (cm^-1), scalar or array."""
     if bath.temperature == 0:
         return 0.0
-    x = np.asarray(omega) / thermal_energy(bath.temperature)
     with np.errstate(over="ignore"):    # a mode far above kT: occupation 0
-        return 1.0 / np.expm1(x)
+        return 1.0 / np.expm1(np.asarray(omega)
+                              / thermal_energy(bath.temperature))
 
 
 def _pure_dephasing(bath: BathParams):
@@ -120,11 +120,6 @@ def build_redfield_generator(basis: ExcitonBasis, bath: BathParams
     gap = basis.splitting()  # cm^-1, > 0
 
     k_down, k_up, dephasing_eep = secular_rates(theta, gap, bath)
-    if k_down < 0 or k_up < 0:
-        raise RuntimeError("negative population rate: inconsistent bath input")
-    if dephasing_eep < 0:
-        raise RuntimeError("negative dephasing rate for ('e', 'ep')")
-
     rates = np.array([[-k_down, k_up],
                       [k_down, -k_up]])
     return RedfieldGenerator(population_rates=rates,

@@ -127,13 +127,15 @@ def _signal_paths(config, gamma):
 
 
 def _apply_noise(values, noise, seed, index):
-    """Relative Gaussian noise on real and imaginary parts, seeded per file."""
+    """Relative Gaussian noise on real and imaginary parts, seeded per file.
+    A huge ``noise`` overflows; ``_write_rows`` refuses what is not finite."""
     rng = np.random.default_rng(
         np.random.SeedSequence(seed, spawn_key=(999_983, index)))
     scale = np.abs(values)
     re = rng.normal(0.0, 1.0, values.shape)
     im = rng.normal(0.0, 1.0, values.shape)
-    return values + noise * scale * (re + 1j * im)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return values + noise * scale * (re + 1j * im)
 
 
 def _members(config):
@@ -173,8 +175,12 @@ def _write_rows(path, header, t_grid, labels, values):
     bytes the ``csv`` module's writer gives for ``f"{x:.17g}"`` fields.
     The k rows of one waiting time are one block: its T text joins the
     per-file row templates, and one ``%`` over the T's (re, im) pairs fills
-    them; one ``write`` per waiting time.
+    them; one ``write`` per waiting time.  Values that are not all finite
+    raise ValueError naming ``path``, and nothing is written.
     """
+    if not np.isfinite(values).all():
+        raise ValueError(f"{path}: not written, as its numbers would not "
+                         "all be finite")
     # the rows of a block without their leading T field
     rows = [",%s,%%.17g,%%.17g\r\n" % label.replace("%", "%%")
             for label in labels]

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import json
 import math
 from numbers import Real
+import sys
 
 from .bath import BathParams
 from .ensemble import EnsembleSpec
@@ -32,10 +33,10 @@ def gamma_tag(gamma):
 
 
 def _require_finite(where, value):
-    """Raise ConfigError naming ``where`` unless ``value`` is a finite real
-    number (a bool is not one)."""
+    """Raise ConfigError naming ``where`` unless ``value`` is a real number
+    that a double holds finite (a bool is not one, nor an int of 10**309)."""
     if (isinstance(value, bool) or not isinstance(value, Real)
-            or not math.isfinite(value)):
+            or not abs(value) <= sys.float_info.max):
         raise ConfigError(f"{where}: must be a finite number, got {value!r}")
 
 

@@ -27,9 +27,10 @@ import numpy as np
 
 from .bath import (BathParams, ProcessTensor, closure_ground_row,
                    secular_dynamics, secular_rates)
-from .errors import DegenerateDimerError
-from .isoaverage import (N_PARAMS, geometry_blocks, params_to_elements,
-                         pathway_structure, solve_tensors)
+from .errors import DegenerateDimerError, raise_first_failure
+from .isoaverage import (N_PARAMS, SECULAR_SLOTS, geometry_blocks,
+                         params_to_elements, pathway_structure,
+                         secular_params, solve_tensors)
 from .model import DimerParams, diagonalize, dipole_vectors
 from .pulses import (PulseToolbox, check_generators, kron_power4, kron_solve,
                      pulse_coefficient)
@@ -39,10 +40,6 @@ from .units import to_angular
 # members per array pass: bounds the (members, 16, T) temporaries (one is
 # 7.9 MB at 1024 members and 30 waiting times)
 _CHUNK = 1024
-
-# real tensor parameters a secular propagator can make nonzero: the four
-# populations, then Re and Im of the e-ep coherence
-_SECULAR_PARAMS = [0, 1, 4, 5, 10, 14]
 
 
 @dataclass(frozen=True)
@@ -87,40 +84,52 @@ class Prepared:
     table: np.ndarray       # (n, 32) isotropic dipole factors
     base: np.ndarray        # (n, 2, 2) single-pulse coefficients c[w, p]
     cond_base: np.ndarray   # (n,) cond(base); cond(C) is its fourth power
-    params: np.ndarray      # (n, 6, T) propagator, _SECULAR_PARAMS order
+    params: np.ndarray      # (n, 6, T) propagator at SECULAR_SLOTS
 
 
-def _raise_first(bad, error, message, start):
-    """Raise ``error`` naming the first member flagged in ``bad``."""
-    members = np.flatnonzero(bad)
-    if members.size:
-        raise error(f"member {start + int(members[0])}: {message}")
-
-
+@np.errstate(all="ignore")
 def prepare(members, start, bath, toolbox, waiting_times) -> Prepared:
-    """The Gamma-independent arrays of members numbered from ``start``."""
+    """The Gamma-independent arrays of members numbered from ``start``.
+
+    Finite but extreme parameters can overflow, so the arrays are made with
+    floating-point warnings off and then checked.  A member that is
+    degenerate, whose dipole factors, pulse generator, C or propagator are
+    not finite, or whose generator cannot be inverted (``check_generators``)
+    raises, naming it.
+    """
     e1, e2, j, d1, d2, phi = np.array(
         [(m.site_energy_1, m.site_energy_2, m.coupling_j, m.dipole_d1,
-          m.dipole_d2, m.dipole_angle_phi) for m in members]).T
+          m.dipole_d2, m.dipole_angle_phi) for m in members], dtype=float).T
     avg, delta, theta, split = diagonalize(e1, e2, j)
-    _raise_first((delta == 0.0) & (j == 0.0), DegenerateDimerError,
-                 "degenerate dimer: cannot build exciton basis", start)
     energies = np.stack([avg + split, avg - split], axis=-1)   # e, ep
     mu = dipole_vectors(theta, d1, d2, phi)                    # (n, 4, 3)
-    _raise_first(np.linalg.norm(mu[:, 0], axis=-1) == 0.0,
-                 DegenerateDimerError,
-                 "mu_eg vanishes: angle reference undefined", start)
+    table = iso_dipole_factors(mu)
     base = pulse_coefficient(energies[:, None, :],
-                             np.array(toolbox.carriers)[:, None], toolbox)
-    cond_base = check_generators(base, toolbox, first_member=start)
+                             np.array(toolbox.carriers, dtype=float)[:, None],
+                             toolbox)
     gap = energies[:, 0] - energies[:, 1]
     k_down, k_up, rate = secular_rates(theta, gap, bath)
     pop, phase = secular_dynamics(k_down, k_up, to_angular(gap), rate,
                                   waiting_times)
-    params = np.stack([pop[..., 0, 0], pop[..., 1, 0], pop[..., 0, 1],
-                       pop[..., 1, 1], phase.real, phase.imag], axis=1)
-    return Prepared(start=start, table=iso_dipole_factors(mu), base=base,
-                    cond_base=cond_base, params=params)
+    params = secular_params(pop, phase)
+
+    def not_finite(array):
+        return ~np.isfinite(array).reshape(len(members), -1).all(axis=1)
+
+    raise_first_failure(
+        start, ((delta == 0.0) & (j == 0.0), DegenerateDimerError,
+                "degenerate dimer: cannot build exciton basis"),
+        (np.linalg.norm(mu[:, 0], axis=-1) == 0.0, DegenerateDimerError,
+         "mu_eg vanishes: angle reference undefined"),
+        (not_finite(table), ValueError,
+         "isotropic dipole factors are not finite"),
+        (not_finite(base), ValueError, "pulse generator is not finite"),
+        (not_finite(kron_power4(base)), ValueError,
+         "C = base^(x)4 is not finite"),
+        (not_finite(params), ValueError, "propagator is not finite"))
+    cond_base = check_generators(base, toolbox, first_member=start)
+    return Prepared(start=start, table=table, base=base, cond_base=cond_base,
+                    params=params)
 
 
 def _geometry_map(chunk, gamma, structure):
@@ -143,7 +152,7 @@ def propagators(prepared):
     their trace-closing ground rows (n, T, 2, 2)."""
     n, _, count = prepared.params.shape
     params = np.zeros((n, count, N_PARAMS))
-    params[..., _SECULAR_PARAMS] = prepared.params.transpose(0, 2, 1)
+    params[..., SECULAR_SLOTS] = prepared.params.transpose(0, 2, 1)
     elements = params_to_elements(params)
     return elements, closure_ground_row(elements)
 
@@ -164,11 +173,19 @@ def invert(prepared, gamma, signals, verbatim=False, blocks=None):
 def _evaluate(chunk, gamma, structure, want_tensors):
     """Per-member arrays of a chunk at Gamma (n,): signals and pathway
     vectors (n, 16, T), and with ``want_tensors`` the member-reconstructed
-    elements (n, T, 2, 2, 2, 2) and ground rows (n, T, 2, 2), else None."""
+    elements (n, T, 2, 2, 2, 2) and ground rows (n, T, 2, 2), else None.
+
+    The finite arrays of ``prepare`` can still overflow here: a member
+    whose geometry map or signals are not finite raises, naming it.
+    """
     offset, full = _geometry_map(chunk, gamma, structure)
-    blocks = geometry_blocks(offset, full, first_member=chunk.start)
-    pathways = full[..., _SECULAR_PARAMS] @ chunk.params + offset[..., None]
+    pathways = full[..., SECULAR_SLOTS] @ chunk.params + offset[..., None]
     signals = kron_power4(chunk.base) @ pathways
+    raise_first_failure(chunk.start, (
+        ~(np.isfinite(full).all(axis=(1, 2))
+          & np.isfinite(signals).all(axis=(1, 2))),
+        ValueError, "geometry map or signals are not finite"))
+    blocks = geometry_blocks(offset, full, first_member=chunk.start)
     if not want_tensors:
         return signals, pathways, None, None
     _, elements, grounds = invert(chunk, gamma, signals, blocks=blocks)
@@ -233,14 +250,18 @@ def evaluate_ensemble(members, bath: BathParams, toolbox: PulseToolbox,
     for gamma in gammas:
         gamma = np.broadcast_to(np.asarray(gamma, dtype=float), (count,))
         totals = [None] * 4
-        for chunk in chunks:
-            stop = chunk.start + len(chunk.table)
-            parts = _evaluate(chunk, gamma[chunk.start:stop], structure,
-                              want_tensors)
-            totals = [_add_in_order(total, part)
-                      for total, part in zip(totals, parts)]
-        sig, pw, el, gr = (None if total is None else total / count
-                           for total in totals)
+        # overflow is checked for, not warned about: _evaluate rejects a
+        # member whose signals are not finite, and a mean that overflows is
+        # left to the CSV writer, which refuses numbers that are not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            for chunk in chunks:
+                stop = chunk.start + len(chunk.table)
+                parts = _evaluate(chunk, gamma[chunk.start:stop], structure,
+                                  want_tensors)
+                totals = [_add_in_order(total, part)
+                          for total, part in zip(totals, parts)]
+            sig, pw, el, gr = (None if total is None else total / count
+                               for total in totals)
         yield EnsembleResult(
             signal_table=SignalTable(t_grid=t_grid, values=sig.T),
             pathway_means=pw.T, elements=el, grounds=gr, n_members=count)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the member-naming raise."""
+
+import numpy as np
 
 
 class DimerQptError(Exception):
@@ -19,3 +21,18 @@ class SingularGeometryError(DimerQptError):
 
 class ConfigError(DimerQptError):
     """An experiment configuration failed validation; names the field."""
+
+
+def raise_first_failure(first_member, *checks):
+    """Raise for the first member flagged by ``checks``, (bad, error,
+    message) triples with ``bad`` one bool per member (a scalar for one
+    unnumbered object): ``error(message)`` of its first failing check, the
+    message led by ``member N: `` (N counted from ``first_member``) unless
+    ``first_member`` is None."""
+    bad = np.stack([np.ravel(mask) for mask, _, _ in checks])
+    if bad.any():
+        member = int(np.argmax(bad.any(axis=0)))
+        _, error, message = checks[int(np.argmax(bad[:, member]))]
+        if first_member is not None:
+            message = f"member {first_member + member}: {message}"
+        raise error(message)

@@ -18,7 +18,7 @@ import functools
 import numpy as np
 
 from .bath import ProcessTensor, closure_ground_row
-from .errors import SingularGeometryError
+from .errors import SingularGeometryError, raise_first_failure
 from .model import E, EP, ExcitonBasis
 
 #: largest condition number a geometry block may have and still be inverted
@@ -40,14 +40,34 @@ def iso_average_four(a, b, c, d):
 # Real parametrization of the process tensor
 #
 # The 16 complex elements carry 16 real degrees of freedom once hermiticity
-# is imposed.  Ordering (grouped by the last index pair, Re before Im):
-#   block ee  : [ x_eeee, x_epepee, Re x_eepee, Im x_eepee ]
-#   block epep: [ x_eeepep, x_epepepep, Re x_eepepep, Im x_eepepep ]
-#   block eep : [ Re x_eeeep, Re x_epepeep, Re x_eepeep, Re x_epeeep,
-#                 Im x_eeeep, Im x_epepeep, Im x_eepeep, Im x_epeeep ]
+# is imposed.  _PARAMS is their one ordering: parameter k is the real (0) or
+# imaginary (1) part of element (n, m, nu, mu), grouped by the last index
+# pair into the three geometry blocks, Re before Im.  Everything else about
+# the parameters is read off it.
 # ---------------------------------------------------------------------------
 
-N_PARAMS = 16
+_EEP = ((E, E, E, EP), (EP, EP, E, EP), (E, EP, E, EP), (EP, E, E, EP))
+_PARAMS = (
+    # block ee
+    ((E, E, E, E), 0), ((EP, EP, E, E), 0), ((E, EP, E, E), 0),
+    ((E, EP, E, E), 1),
+    # block epep
+    ((E, E, EP, EP), 0), ((EP, EP, EP, EP), 0), ((E, EP, EP, EP), 0),
+    ((E, EP, EP, EP), 1),
+    # block eep: the real parts of its four elements, then the imaginary
+    *((element, 0) for element in _EEP), *((element, 1) for element in _EEP))
+
+N_PARAMS = len(_PARAMS)
+
+# {element: [slot of its real part, of its imaginary part or None]}
+_SLOTS = {}
+for _k, (_element, _part) in enumerate(_PARAMS):
+    _SLOTS.setdefault(_element, [None, None])[_part] = _k
+
+#: slots of the real parameters a secular propagator can make nonzero: those
+#: of the populations' elements (n, n, nu, nu) and the e-ep coherence
+SECULAR_SLOTS = [k for k, ((n, m, nu, mu), _) in enumerate(_PARAMS)
+                 if (n == m and nu == mu) or (n, m, nu, mu) == (E, EP, E, EP)]
 
 
 def params_to_elements(params):
@@ -58,23 +78,23 @@ def params_to_elements(params):
     """
     x = np.asarray(params, dtype=float)
     el = np.zeros(x.shape[:-1] + (2, 2, 2, 2), dtype=complex)
-    el[..., E, E, E, E] = x[..., 0]
-    el[..., EP, EP, E, E] = x[..., 1]
-    el[..., E, EP, E, E] = x[..., 2] + 1j * x[..., 3]
-    el[..., E, E, EP, EP] = x[..., 4]
-    el[..., EP, EP, EP, EP] = x[..., 5]
-    el[..., E, EP, EP, EP] = x[..., 6] + 1j * x[..., 7]
-    el[..., E, E, E, EP] = x[..., 8] + 1j * x[..., 12]
-    el[..., EP, EP, E, EP] = x[..., 9] + 1j * x[..., 13]
-    el[..., E, EP, E, EP] = x[..., 10] + 1j * x[..., 14]
-    el[..., EP, E, E, EP] = x[..., 11] + 1j * x[..., 15]
-    # hermiticity fills the remaining elements
-    el[..., EP, E, E, E] = np.conj(el[..., E, EP, E, E])
-    el[..., EP, E, EP, EP] = np.conj(el[..., E, EP, EP, EP])
-    for n in (E, EP):
-        for m in (E, EP):
-            el[..., n, m, EP, E] = np.conj(el[..., m, n, E, EP])
+    for (n, m, nu, mu), (re, im) in _SLOTS.items():
+        value = x[..., re] if im is None else x[..., re] + 1j * x[..., im]
+        el[..., n, m, nu, mu] = value
+        # hermiticity: a real element is its own conjugate partner
+        el[..., m, n, mu, nu] = np.conj(value)
     return el
+
+
+def secular_params(pop, phase):
+    """The real parameters at SECULAR_SLOTS, (..., 6, T), of secular
+    propagators with population maps ``pop`` (..., T, 2, 2), entry [n, nu]
+    the element (n, n, nu, nu), and e-ep coherence phases ``phase``
+    (..., T), the element (e, ep, e, ep)."""
+    coherence = (phase.real, phase.imag)
+    params = [_PARAMS[k] for k in SECULAR_SLOTS]
+    return np.stack([pop[..., n, nu] if n == m else coherence[part]
+                     for (n, m, nu, _), part in params], axis=-2)
 
 
 def params_to_tensor(params, waiting_time=0.0) -> ProcessTensor:
@@ -90,22 +110,8 @@ def params_to_tensor(params, waiting_time=0.0) -> ProcessTensor:
 def tensor_to_params(tensor: ProcessTensor):
     """Project a tensor onto the 16 real parameters (inverse of params_to_tensor)."""
     el = tensor.elements
-    return np.array([
-        el[E, E, E, E].real,
-        el[EP, EP, E, E].real,
-        el[E, EP, E, E].real, el[E, EP, E, E].imag,
-        el[E, E, EP, EP].real,
-        el[EP, EP, EP, EP].real,
-        el[E, EP, EP, EP].real, el[E, EP, EP, EP].imag,
-        el[E, E, E, EP].real,
-        el[EP, EP, E, EP].real,
-        el[E, EP, E, EP].real,
-        el[EP, E, E, EP].real,
-        el[E, E, E, EP].imag,
-        el[EP, EP, E, EP].imag,
-        el[E, EP, E, EP].imag,
-        el[EP, E, E, EP].imag,
-    ])
+    return np.array([el[element].imag if part else el[element].real
+                     for element, part in _PARAMS])
 
 
 # The zero-parameter tensor and the 16 unit-parameter tensors, stacked along
@@ -130,15 +136,25 @@ _ROWS_EPEP = [pathway_index(EP, EP, r, s) for r in (E, EP) for s in (E, EP)]
 _ROWS_EEP = ([pathway_index(EP, E, r, s) for r in (E, EP) for s in (E, EP)]
              + [pathway_index(E, EP, r, s) for r in (E, EP) for s in (E, EP)])
 
-_COLS_EE = [0, 1, 2, 3]
-_COLS_EPEP = [4, 5, 6, 7]
-_COLS_EEP = [8, 9, 10, 11, 12, 13, 14, 15]
-
-_BLOCKS = (("ee", _ROWS_EE, _COLS_EE), ("epep", _ROWS_EPEP, _COLS_EPEP),
-           ("eep", _ROWS_EEP, _COLS_EEP))
+# each block: its name, rows and columns, the parameters of the elements
+# whose last index pair is (nu, mu)
+_BLOCKS = tuple(
+    (name, rows, [k for k, (element, _) in enumerate(_PARAMS)
+                  if element[2:] == last])
+    for name, rows, last in (("ee", _ROWS_EE, (E, E)),
+                             ("epep", _ROWS_EPEP, (EP, EP)),
+                             ("eep", _ROWS_EEP, (E, EP))))
 _BLOCK_MASK = np.zeros((16, 16), dtype=bool)
 for _name, _rows, _cols in _BLOCKS:
     _BLOCK_MASK[np.ix_(_rows, _cols)] = True
+
+
+def _check_block_pattern(full):
+    """Raise RuntimeError unless the maps ``full`` (..., 16 pathways, 16
+    params) vanish outside the blocks, to 1e-12 of their largest entry."""
+    if np.any(np.abs(full[..., ~_BLOCK_MASK]).max(axis=-1)
+              > 1e-12 * np.abs(full).max(axis=(-2, -1))):
+        raise RuntimeError("pathway map is not block diagonal as expected")
 
 
 @dataclass(frozen=True)
@@ -182,32 +198,18 @@ def geometry_blocks(offset, full, first_member=None) -> MBlocks:
     """Checked geometry blocks of maps ``full`` (..., 16 pathways, 16 params)
     with ``offset`` (..., 16).
 
-    Entries that the block structure predicts to vanish must be numerically
-    zero (RuntimeError otherwise), and no block may have a condition number
-    above COND_THRESHOLD (SingularGeometryError).  With a stack and
-    ``first_member``, the error names the first failing member, counted
-    from ``first_member``.
+    No block may have a condition number above COND_THRESHOLD
+    (SingularGeometryError); the block pattern is ``pathway_structure``'s to
+    check.  With a stack and ``first_member``, the error names the first
+    failing member, counted from ``first_member``.
     """
-    scale = np.max(np.abs(full), axis=(-2, -1))
-    scale = np.where(scale == 0.0, 1.0, scale)
-    failures = [(np.max(np.abs(full[..., ~_BLOCK_MASK]), axis=-1)
-                 > 1e-12 * scale, RuntimeError,
-                 "pathway map is not block diagonal as expected")]
     blocks = [full[..., rows, :][..., cols] for _, rows, cols in _BLOCKS]
     conditions = {name: np.linalg.cond(block)
                   for (name, _, _), block in zip(_BLOCKS, blocks)}
-    for name, cond in conditions.items():
-        failures.append((cond > COND_THRESHOLD, SingularGeometryError,
-                         f"geometry block {name} is singular for this "
-                         "dipole geometry"))
-    bad = np.stack([np.ravel(mask) for mask, _, _ in failures])
-    members = np.flatnonzero(bad.any(axis=0))
-    if members.size:
-        member = int(members[0])
-        _, error, message = failures[int(np.argmax(bad[:, member]))]
-        if first_member is not None:
-            message = f"member {first_member + member}: {message}"
-        raise error(message)
+    raise_first_failure(first_member, *(
+        (cond > COND_THRESHOLD, SingularGeometryError,
+         f"geometry block {name} is singular for this dipole geometry")
+        for name, cond in conditions.items()))
     return MBlocks(m_ee=blocks[0], m_epep=blocks[1], m_eep=blocks[2],
                    offset=offset, conditions=conditions)
 
@@ -219,9 +221,10 @@ def build_m_blocks(basis: ExcitonBasis, gamma: float,
     Each column is the averaged pathway vector generated by one unit vector
     of the real tensor parametrization at zero coherence and echo times;
     all of them come out of one pass over the pathways on the stacked probe
-    tensor.  The blocks are checked by ``geometry_blocks``.  The commands
-    use the ensemble engine's map ``table @ (S0 + Gamma dS)`` instead; this
-    probe pass is the independent oracle the tests hold it to.
+    tensor.  The map must vanish outside the blocks (RuntimeError), and
+    ``geometry_blocks`` checks the blocks.  The commands use the ensemble
+    engine's map ``table @ (S0 + Gamma dS)`` instead; this probe pass is
+    the independent oracle the tests hold it to.
     """
     from .response import iso_pathway_vector
 
@@ -230,8 +233,9 @@ def build_m_blocks(basis: ExcitonBasis, gamma: float,
     # The hole term and the ground-row closure constant cancel, so the
     # averaged pathway vector is strictly linear in the parameters; the
     # offset at zero parameters is subtracted anyway as a guard.
-    return geometry_blocks(vectors[:, 0].copy(),
-                           vectors[:, 1:] - vectors[:, :1])
+    full = vectors[:, 1:] - vectors[:, :1]
+    _check_block_pattern(full)
+    return geometry_blocks(vectors[:, 0].copy(), full)
 
 
 @functools.cache
@@ -244,7 +248,9 @@ def pathway_structure(verbatim: bool):
     pathways x 17 probes) are read off ``iso_pathway_vector`` with one-hot
     tables at Gamma = 0 and 1, so the pathway expressions stay the one
     source of truth.  Returned as one read-only real (64, 544) matrix, S0
-    over dS, each row the real view of a (16, 17) complex block.
+    over dS, each row the real view of a (16, 17) complex block.  The block
+    pattern is checked here, once for every dipole geometry: the map of each
+    row must vanish outside the blocks (RuntimeError).
     """
     from .response import DIPOLE_TUPLES, iso_pathway_vector
 
@@ -254,6 +260,7 @@ def pathway_structure(verbatim: bool):
         for one in DIPOLE_TUPLES]) for gamma in (0.0, 1.0)]
     # entries are sums of +-1, +-1j and 0: the difference is exact
     structure = np.concatenate([at[0], at[1] - at[0]])
+    _check_block_pattern(structure[..., 1:] - structure[..., :1])
     structure = structure.view(float).reshape(len(structure), -1)
     structure.setflags(write=False)
     return structure
@@ -301,11 +308,7 @@ def closed_form_block_ee(basis: ExcitonBasis, gamma: float):
     mu_epg = basis.mu_epg
     mu_fe = basis.mu_fe
     mu_fep = basis.mu_fep
-
-    def avg(a, b, c, d):
-        return (np.dot(a, b) * np.dot(c, d) + np.dot(a, c) * np.dot(b, d)
-                + np.dot(a, d) * np.dot(b, c)) / 15.0
-
+    avg = iso_average_four
     g1 = 1.0 - gamma
     m = np.zeros((4, 4), dtype=complex)
     # rows: (r,s) = (e,e), (e,ep), (ep,e), (ep,ep); columns per block ordering

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import SingularToolboxError
+from .errors import SingularToolboxError, raise_first_failure
 from .model import ExcitonBasis
 from .units import to_angular
 
@@ -54,9 +54,10 @@ def pulse_coefficient(transition_freq, omega, toolbox: PulseToolbox):
     """
     sigma = toolbox.pulse_width_sigma
     detuning = to_angular(np.subtract(transition_freq, omega))  # rad/fs
+    with np.errstate(over="ignore"):    # far off resonance: coefficient 0
+        envelope = np.exp(-0.5 * (sigma * detuning) ** 2)
     return (1j * toolbox.field_strength_lambda
-            * math.sqrt(2.0 * math.pi) * sigma
-            * np.exp(-0.5 * (sigma * detuning) ** 2))
+            * math.sqrt(2.0 * math.pi) * sigma * envelope)
 
 
 def base_coefficient_matrix(basis: ExcitonBasis, toolbox: PulseToolbox):
@@ -85,14 +86,10 @@ def check_generators(base, toolbox: PulseToolbox, first_member=None):
         cond = sv[..., 0] / sv[..., 1]
         bad = ~(cond ** 4 < C_COND_LIMIT)
         bad |= ~(sv[..., 1] ** 4 >= _C_FLOOR)
-    bad = np.flatnonzero(bad)
-    if bad.size:
-        where = ("" if first_member is None
-                 else f"member {first_member + int(bad[0])}: ")
-        raise SingularToolboxError(
-            f"{where}toolbox frequencies "
-            f"({toolbox.freq_plus}, {toolbox.freq_minus}) cm^-1 cannot "
-            "discriminate the exciton transitions")
+    raise_first_failure(first_member, (
+        bad, SingularToolboxError,
+        f"toolbox frequencies ({toolbox.freq_plus}, {toolbox.freq_minus}) "
+        "cm^-1 cannot discriminate the exciton transitions"))
     return cond
 
 

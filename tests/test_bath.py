@@ -27,6 +27,10 @@ def test_bose_occupation_limits(bath):
     cold = BathParams(reorganization_energy=30.0, cutoff_freq=120.0,
                       temperature=0.0)
     assert bose_occupation(200.0, cold) == 0.0
+    # kT so small that omega / kT overflows: the limit, 0, without a warning
+    tiny = BathParams(reorganization_energy=30.0, cutoff_freq=120.0,
+                      temperature=5e-324)
+    assert bose_occupation(np.array([200.0]), tiny) == 0.0
     # high-temperature limit: n ~ kT/omega
     kt = thermal_energy(bath.temperature)
     assert bose_occupation(0.01, bath) == pytest.approx(kt / 0.01, rel=1e-3)

@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 from importlib import metadata
 import io
 import json
+import math
 import os
 import random
 import re
@@ -13,7 +14,7 @@ import sys
 import tempfile
 from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -480,6 +481,134 @@ def test_failed_reconstruct_leaves_no_earlier_outputs(config_path,
     capsys.readouterr()
     assert main(["validate", tensor_path]) == 3
     assert tensor_path in capsys.readouterr().err
+
+
+_TOOLBOX_BLIND = ("toolbox frequencies (13480.0, 12130.0) cm^-1 cannot "
+                  "discriminate the exciton transitions")
+
+
+@pytest.mark.parametrize("section, field, value, message", [
+    ("toolbox", "field_strength_lambda", 1e300, "C = base^(x)4 is not finite"),
+    ("bath", "reorganization_energy", 1e308, "propagator is not finite"),
+    ("dimer", "site_energy_1", 1e308, _TOOLBOX_BLIND),
+    ("dimer", "coupling_j", 1e200, _TOOLBOX_BLIND),
+    ("dimer", "dipole_d1", 1e200,
+     "isotropic dipole factors are not finite")])
+def test_overflowing_config_names_the_member(tmp_path, capsys, section, field,
+                                             value, message):
+    """A finite but extreme number that overflows the forward model exits 1
+    with one line naming the member, before any CSV is written; no numpy
+    warning comes first (a warning fails the tests)."""
+    data = config_to_dict(default_config(output_dir=str(tmp_path / "out")))
+    data["ensemble"]["n_members"] = 4
+    data["t_grid"] = [120.0, 200.0]
+    data[section][field] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    for command in ("simulate", "reconstruct"):
+        assert main([command, "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: member 0: {message}\n"
+    assert not (tmp_path / "out").exists() or not [
+        name for name in os.listdir(tmp_path / "out")
+        if name.endswith(".csv")]
+
+
+def test_overflowing_noise_is_not_written(config_path, small_config, capsys):
+    """Noise so wide that the signals overflow exits 1 naming the file,
+    which is not written."""
+    data = config_to_dict(small_config)
+    data["toolbox"]["field_strength_lambda"] = 1e6
+    data["noise"] = 1e308
+    with open(config_path, "w") as fh:
+        json.dump(data, fh)
+    assert main(["simulate", "--config", config_path]) == 1
+    path = os.path.join(small_config.output_dir, "signals_gamma0.csv")
+    assert capsys.readouterr().err == (
+        f"error: {path}: not written, as its numbers would not all be "
+        "finite\n")
+    assert not os.path.exists(path)
+
+
+# the configuration of the extreme-value test: few members and waiting times
+_SMALL = config_to_dict(default_config(output_dir="out"))
+_SMALL["ensemble"]["n_members"] = 3
+_SMALL["t_grid"] = [120.0, 300.0, 700.0]
+_SMALL["gamma_list"] = [0.0, 2.0]
+# every leaf of the configuration, as a key path into its JSON
+_LEAVES = ([(section, name) for section in ("dimer", "bath", "toolbox",
+                                            "ensemble")
+            for name in _SMALL[section]]
+           + [("t_grid", 0), ("t_grid", 2), ("gamma_list", 0), ("noise",),
+              ("verbatim_terms",), ("homogeneous_only",), ("output_dir",)])
+_EXTREMES = [1e308, -1e308, 1e200, -1e200, 5e-324, -5e-324, 1e-310,
+             2.2250738585072014e-308, 0, 0.0, -1, -12881.0, 10**300,
+             -10**300, 10**400, -10**400, 2**64, "12881", None, [], {}, True]
+
+
+@pytest.fixture(scope="module")
+def small_signals(tmp_path_factory):
+    """The output directory of the unchanged homogeneous configuration: the
+    signal files a homogeneous reconstruct reads."""
+    out = tmp_path_factory.mktemp("small") / "out"
+    path = out.parent / "cfg.json"
+    path.write_text(json.dumps(dict(_SMALL, homogeneous_only=True,
+                                    output_dir=str(out))))
+    with mock.patch("sys.stdout", io.StringIO()):
+        assert main(["simulate", "--config", str(path)]) == 0
+    return out
+
+
+def _csv_numbers_finite(directory):
+    for name in os.listdir(directory):
+        if name.endswith(".csv"):
+            with open(os.path.join(directory, name), newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+            if not all(math.isfinite(float(x)) for row in rows
+                       for x in (row[0], row[-2], row[-1])):
+                return False
+    return True
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(leaf=st.sampled_from(_LEAVES), value=st.sampled_from(_EXTREMES),
+       homogeneous=st.booleans())
+def test_extreme_config_values(small_signals, leaf, value, homogeneous):
+    """One leaf of a small configuration set to an extreme or wrong-typed
+    value: simulate, reconstruct and report exit 0, 1 or 2, print at most
+    one ``error:`` or ``configuration error:`` line to stderr, and a run
+    that exits 0 writes only finite numbers.  Any numpy warning fails the
+    test.  reconstruct reads the unchanged configuration's signals, or
+    those the changed one wrote."""
+    # at most 4 members: a huge n_members asks for that many
+    assume(not (leaf == ("ensemble", "n_members") and isinstance(value, int)
+                and value > 4))
+    assume(leaf != ("output_dir",) or not isinstance(value, str))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        shutil.copytree(small_signals, out)
+        data = json.loads(json.dumps(_SMALL))
+        data.update(homogeneous_only=homogeneous, output_dir=out)
+        target = data
+        for part in leaf[:-1]:
+            target = target[part]
+        target[leaf[-1]] = value
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        for argv in (["simulate", "--config", path],
+                     ["reconstruct", "--config", path],
+                     ["report", "--output-dir", out]):
+            err = io.StringIO()
+            with mock.patch("sys.stdout", io.StringIO()), \
+                    mock.patch("sys.stderr", err):
+                code = main(argv)
+            lines = err.getvalue().splitlines()
+            assert code in (0, 1, 2), (argv[0], lines)
+            assert len(lines) <= 1 and all(
+                line.startswith(("error: ", "configuration error: "))
+                for line in lines), (argv[0], lines)
+            if code == 0:
+                assert _csv_numbers_finite(out), argv[0]
 
 
 def test_signal_file_missing_column(config_path, small_config, capsys):

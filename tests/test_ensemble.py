@@ -10,7 +10,7 @@ from dimerqpt.config import default_config
 from dimerqpt.ensemble import (EnsembleSpec, evaluate_ensemble,
                                run_ensemble, sample_members,
                                synthesize_signal_table)
-from dimerqpt.errors import SingularGeometryError
+from dimerqpt.errors import DegenerateDimerError, SingularGeometryError
 from dimerqpt.isoaverage import (build_m_blocks, pathway_structure,
                                  tensor_to_params)
 from dimerqpt.model import DimerParams, build_exciton_basis
@@ -240,6 +240,49 @@ def test_singular_member_is_named(dimer, bath, toolbox, chunk, monkeypatch):
     monkeypatch.setattr(ensemble, "_CHUNK", chunk)
     with pytest.raises(SingularGeometryError, match=r"^member 3: geometry"):
         run_ensemble(members, bath, toolbox, T_GRID, want_tensors=False)
+
+
+@pytest.mark.parametrize("start", [0, 10])
+def test_prepare_names_the_first_failing_member(dimer, bath, toolbox, start):
+    """prepare raises for the first member that fails any of its checks:
+    here member 2, whose dipole factors overflow, and not member 3, a dimer
+    whose site energies differ by less than the half-difference resolves."""
+    members = [dimer, dimer, replace(dimer, dipole_d1=1e200),
+               DimerParams(site_energy_1=5e-324, site_energy_2=0.0,
+                           coupling_j=0.0)]
+    with pytest.raises(ValueError, match=rf"^member {start + 2}: isotropic "
+                       "dipole factors are not finite$"):
+        ensemble.prepare(members, start, bath, toolbox, T_GRID)
+    with pytest.raises(DegenerateDimerError,
+                       match=rf"^member {start + 3}: degenerate dimer"):
+        ensemble.prepare(members[3:], start + 3, bath, toolbox, T_GRID)
+
+
+def test_overflow_is_checked_not_warned(geometries, bath, toolbox):
+    """Signals that overflow although C is finite raise, naming the member;
+    means that overflow although every member's signals are finite come
+    out infinite, for the CSV writer to refuse.  No numpy warning either
+    way (a warning fails the tests)."""
+    def peak(dimer):
+        """Largest real or imaginary part of the signals at field 1."""
+        values = synthesize_signal_table(dimer, bath, toolbox, T_GRID).values
+        return max(np.abs(values.real).max(), np.abs(values.imag).max())
+
+    def field(strength):
+        return replace(toolbox, field_strength_lambda=strength)
+
+    # signals go as the fourth power of the field strength; this geometry's
+    # signals peak about 18 times higher than its C, the default's about as
+    # high as its C
+    wide, default = geometries[2], geometries[0]
+    strength = (1e308 / peak(wide)) ** 0.25 * 10 ** 0.25
+    with pytest.raises(ValueError, match=r"^member 1: geometry map or "
+                       r"signals are not finite$"):
+        run_ensemble([default, wide], bath, field(strength), T_GRID)
+    strength = 1.2e308 ** 0.25 / peak(default) ** 0.25
+    result = run_ensemble([default, default], bath, field(strength), T_GRID,
+                          want_tensors=False)
+    assert np.isinf(result.signal_table.values).any()
 
 
 def test_worst_conditioned_default_member_round_trips():

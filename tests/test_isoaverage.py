@@ -6,15 +6,20 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from dimerqpt.bath import ProcessTensor
-from dimerqpt.errors import SingularGeometryError
-from dimerqpt.isoaverage import (COND_THRESHOLD, N_PARAMS, build_m_blocks,
-                                 closed_form_block_ee, iso_average_four,
-                                 params_to_tensor, pathway_index,
-                                 solve_chi_blocks, tensor_to_params)
+from dimerqpt import isoaverage, response
+from dimerqpt.bath import (ProcessTensor, build_redfield_generator,
+                           propagator_elements, secular_dynamics)
+from dimerqpt.errors import SingularGeometryError, raise_first_failure
+from dimerqpt.isoaverage import (COND_THRESHOLD, N_PARAMS, SECULAR_SLOTS,
+                                 build_m_blocks, closed_form_block_ee,
+                                 geometry_blocks, iso_average_four,
+                                 params_to_elements, params_to_tensor,
+                                 pathway_index, pathway_structure,
+                                 secular_params, solve_chi_blocks,
+                                 tensor_to_params)
 from dimerqpt.model import DimerParams, build_exciton_basis
 from dimerqpt.reconstruct import validate_tensor
-from dimerqpt.response import iso_pathway_vector
+from dimerqpt.response import DIPOLE_TUPLES, iso_pathway_vector
 
 
 def mc_average_zzzz(vectors, n_rotations, seed):
@@ -74,6 +79,76 @@ def test_params_round_trip(rng):
     assert diag.hermiticity_defect < 1e-15
     assert diag.trace_defect < 1e-15
     assert tensor.waiting_time == 17.0
+
+
+def test_secular_params_fill_the_propagator(basis, bath):
+    """The six parameters a secular propagator makes nonzero, put at
+    SECULAR_SLOTS, give exactly the elements that bath lays out itself."""
+    gen = build_redfield_generator(basis, bath)
+    t_grid = [0.0, 150.0, 700.0]
+    pop, phase = secular_dynamics(gen.rate_e_to_ep, gen.rate_ep_to_e,
+                                  gen.coherence_freq, gen.dephasing_rate,
+                                  t_grid)
+    params = np.zeros((len(t_grid), N_PARAMS))
+    params[:, SECULAR_SLOTS] = secular_params(pop, phase).T
+    assert np.array_equal(params_to_elements(params),
+                          propagator_elements(gen, t_grid))
+    assert len(SECULAR_SLOTS) == 6
+
+
+def test_raise_first_failure_names_the_first_member():
+    """The first member failing any check raises that member's first
+    failing check, numbered from ``first_member``; None numbers nothing."""
+    checks = [(np.array([False, False, True, True]), KeyError, "first"),
+              (np.array([False, True, False, True]), ValueError, "second")]
+    with pytest.raises(ValueError, match=r"^member 11: second$"):
+        raise_first_failure(10, *checks)
+    with pytest.raises(KeyError, match=r"member 3: first"):
+        raise_first_failure(1, checks[0])
+    with pytest.raises(ValueError, match=r"^second$"):
+        raise_first_failure(None, (np.bool_(True), ValueError, "second"))
+    raise_first_failure(0, (np.zeros(4, dtype=bool), ValueError, "none"))
+
+
+def _leak_outside_blocks(monkeypatch):
+    """Make ``iso_pathway_vector`` put one unit outside the blocks: in the
+    pathway and probe column of the first off-block entry of the map, for a
+    basis and for the one-hot table of the first dipole factor."""
+    pathway, param = np.argwhere(~isoaverage._BLOCK_MASK)[0]
+    original = response.iso_pathway_vector
+
+    def leaky(basis, gamma, tensor, verbatim=False, table=None):
+        out = original(basis, gamma, tensor, verbatim=verbatim, table=table)
+        if table is None or table[DIPOLE_TUPLES[0]] == 1.0:
+            out[pathway, 1 + param] += 1.0
+        return out
+
+    monkeypatch.setattr(response, "iso_pathway_vector", leaky)
+    return pathway, param
+
+
+@pytest.mark.parametrize("verbatim", [False, True])
+def test_block_pattern_checked_on_the_structure(monkeypatch, verbatim):
+    """A structure with one nonzero entry outside the blocks is rejected
+    where it is built, once for every dipole geometry."""
+    _leak_outside_blocks(monkeypatch)
+    with pytest.raises(RuntimeError, match="not block diagonal"):
+        pathway_structure.__wrapped__(verbatim)
+
+
+def test_block_pattern_checked_on_the_probed_map(basis, monkeypatch):
+    """build_m_blocks, whose map is probed numerically, still rejects a map
+    that is not block diagonal; geometry_blocks does not look outside the
+    blocks."""
+    clean = build_m_blocks(basis, 1.0)
+    pathway, param = _leak_outside_blocks(monkeypatch)
+    with pytest.raises(RuntimeError, match="not block diagonal"):
+        build_m_blocks(basis, 1.0)
+    full = clean.full_matrix()
+    full[pathway, param] = 1.0
+    blocks = geometry_blocks(clean.offset, full)
+    for name in ("m_ee", "m_epep", "m_eep"):
+        assert np.array_equal(getattr(blocks, name), getattr(clean, name))
 
 
 def test_pathway_index_bijective():

@@ -53,6 +53,13 @@ def test_on_resonance_value(toolbox):
         1j * math.sqrt(2 * math.pi) * toolbox.pulse_width_sigma, abs=1e-12)
 
 
+def test_far_off_resonance_coefficient_is_zero(toolbox):
+    """A detuning whose square overflows gives the limit, 0, without a
+    warning."""
+    assert pulse_coefficient(1e308, 13480.0, toolbox) == 0.0
+    assert pulse_coefficient(-1e200, 13480.0, toolbox) == 0.0
+
+
 def test_base_matrix_values(basis, toolbox):
     base = base_coefficient_matrix(basis, toolbox)
     # diagonal dominance: each carrier mostly addresses its own exciton
