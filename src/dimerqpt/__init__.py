@@ -14,13 +14,13 @@ from .isoaverage import (MBlocks, build_m_blocks, iso_average_four,
                          params_to_tensor, pathway_index, solve_chi_blocks,
                          tensor_to_params)
 from .model import (DIPOLE_LABELS, EXCITON_LABELS, DimerParams, ExcitonBasis,
-                    build_exciton_basis, transition_dipoles)
+                    build_exciton_basis)
 from .pulses import (CMatrix, PulseToolbox, base_coefficient_matrix,
                      build_c_matrix, pulse_coefficient)
 from .reconstruct import (ReconstructionReport, TensorDiagnostics,
-                          choi_matrix, invert_signals, reconstruct,
-                          reconstruct_rows, reconstruct_single,
-                          validate_tensor, validate_tensors)
+                          invert_signals, reconstruct, reconstruct_rows,
+                          reconstruct_single, validate_tensor,
+                          validate_tensors)
 from .response import (PATHWAY_ORDER, SignalTable, iso_pathway_vector,
                        pathway_terms)
 

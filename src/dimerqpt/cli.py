@@ -10,17 +10,16 @@ import argparse
 import contextlib
 import csv
 from dataclasses import replace
-import functools
 from itertools import chain, islice, product
 import json
 import math
 import os
-import re
 import sys
 import warnings
 
 import numpy as np
 
+import dimerqpt
 from .config import (ExperimentConfig, config_to_dict, default_config,
                      gamma_tag, load_config)
 from .ensemble import (evaluate_ensemble, invert, prepare, propagators,
@@ -49,71 +48,11 @@ _TENSOR_SLOT = {",".join(key): slot for slot, key in enumerate(_TENSOR_ROWS)}
 _DECODE_ERRORS = "surrogateescape"
 
 
-def _normalized(name):
-    """A distribution name as importlib.metadata matches it: each run of
-    ``-``, ``_`` and ``.`` as one ``_``, in lower case."""
-    return re.sub(r"[-_.]+", "_", name).lower()
-
-
-def _metadata_version(path):
-    """The ``Version`` header of the distribution metadata at ``path``, or
-    "unknown".  As importlib.metadata does, this reads the first nonempty
-    of ``path/METADATA``, ``path/PKG-INFO`` and (an .egg-info file) ``path``
-    as UTF-8; the headers end at the first empty line."""
-    for target in (os.path.join(path, "METADATA"),
-                   os.path.join(path, "PKG-INFO"), path):
-        try:
-            with open(target, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError:
-            continue
-        except UnicodeDecodeError:
-            return "unknown"
-        if text:
-            break
-    else:
-        return "unknown"
-    for line in text.splitlines():
-        if not line:
-            break
-        header, colon, value = line.partition(":")
-        if colon and header.lower() == "version":
-            return value.strip()
-    return "unknown"
-
-
-@functools.cache
-def _distribution_version(name):
-    """Installed version of a distribution, or "unknown": that of the first
-    ``<name>-*.dist-info`` or ``<name>*.egg-info`` entry of a ``sys.path``
-    directory (in listing order), the one importlib.metadata.version reads.
-
-    Neither the distribution nor importlib.metadata is imported: the latter
-    loads the email package, about 1.4 MiB of resident memory kept for the
-    life of the process.  Zip archives on ``sys.path`` are not searched.
-    Looked up once per process.
-    """
-    wanted = _normalized(name)
-    for entry in sys.path:
-        try:
-            children = os.listdir(entry or ".")
-        except OSError:
-            continue
-        for child in children:
-            low = child.lower()
-            if (low.endswith((".dist-info", ".egg-info"))
-                    and _normalized(low.rpartition(".")[0].partition("-")[0])
-                    == wanted):
-                return _metadata_version(os.path.join(entry, child))
-    return "unknown"
-
-
 def _write_manifest(config, outdir):
     manifest = {
         "config": config_to_dict(config),
-        "versions": {"dimerqpt": _distribution_version("dimerqpt"),
-                     "numpy": np.__version__,
-                     "scipy": _distribution_version("scipy")},
+        "versions": {"dimerqpt": dimerqpt.__version__,
+                     "numpy": np.__version__},
     }
     with open(os.path.join(outdir, "run_manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -151,16 +90,27 @@ def cmd_simulate(config: ExperimentConfig):
                                 config.gamma_list,
                                 verbatim=config.verbatim_terms,
                                 want_tensors=False)
-    for gidx, (gamma, result) in enumerate(zip(config.gamma_list, results)):
-        signals = result.signal_table.values
-        if config.noise:
-            signals = _apply_noise(signals, config.noise,
-                                   config.ensemble.seed, gidx)
-        sig_path, path_path = _signal_paths(config, gamma)
-        _write_rows(sig_path, _SIGNAL_HEADER, config.t_grid, OMEGA_LABELS,
-                    signals)
-        _write_rows(path_path, _PATHWAY_HEADER, config.t_grid,
-                    PATHWAY_LABELS, result.pathway_means)
+    written = []
+    try:
+        for gidx, (gamma, result) in enumerate(zip(config.gamma_list,
+                                                   results)):
+            signals = result.signal_table.values
+            if config.noise:
+                signals = _apply_noise(signals, config.noise,
+                                       config.ensemble.seed, gidx)
+            sig_path, path_path = _signal_paths(config, gamma)
+            written.append(sig_path)
+            _write_rows(sig_path, _SIGNAL_HEADER, config.t_grid,
+                        OMEGA_LABELS, signals)
+            written.append(path_path)
+            _write_rows(path_path, _PATHWAY_HEADER, config.t_grid,
+                        PATHWAY_LABELS, result.pathway_means)
+    except BaseException:
+        # a run that stops at a later Gamma leaves none of its files
+        for path in written:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        raise
     _write_manifest(config, config.output_dir)
     return EXIT_OK
 

@@ -107,74 +107,66 @@ def default_config(output_dir="out") -> ExperimentConfig:
     )
 
 
-_SECTIONS = {
-    "dimer": DimerParams,
-    "bath": BathParams,
-    "toolbox": PulseToolbox,
-    "ensemble": EnsembleSpec,
-}
+# kinds of the run-level keys that are checked, and how messages name them
+_KINDS = {"t_grid": ((list, tuple), "a list of numbers"),
+          "gamma_list": ((list, tuple), "a list of numbers"),
+          "verbatim_terms": (bool, "true or false"),
+          "homogeneous_only": (bool, "true or false"),
+          "output_dir": (str, "a string")}
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    out = {}
-    for name, cls in _SECTIONS.items():
-        out[name] = dataclasses.asdict(getattr(config, name))
-    out["t_grid"] = list(config.t_grid)
-    out["gamma_list"] = list(config.gamma_list)
-    out["noise"] = config.noise
-    out["verbatim_terms"] = config.verbatim_terms
-    out["homogeneous_only"] = config.homogeneous_only
-    out["output_dir"] = config.output_dir
-    return out
+    return {key: list(value) if isinstance(value, tuple) else value
+            for key, value in dataclasses.asdict(config).items()}
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build and validate a configuration; unknown keys are rejected."""
+    """Build and validate a configuration; unknown keys are rejected.
+
+    The keys are the fields of ExperimentConfig: a section (a dataclass
+    field) is an object of its class's fields, and a run-level key that is
+    left out takes the field's default.
+    """
     if not isinstance(data, dict):
         raise ConfigError("configuration root must be a JSON object")
-    known = set(_SECTIONS) | {"t_grid", "gamma_list", "noise",
-                              "verbatim_terms", "homogeneous_only",
-                              "output_dir"}
+    fields = dataclasses.fields(ExperimentConfig)
+    known = {f.name for f in fields}
     for key in data:
         if key not in known:
             raise ConfigError(f"{key}: unknown configuration key")
     kwargs = {}
-    for name, cls in _SECTIONS.items():
+    for f in fields:
+        name, cls = f.name, f.type
+        is_section = dataclasses.is_dataclass(cls)
         if name not in data:
-            raise ConfigError(f"{name}: missing configuration section")
-        section = data[name]
-        if not isinstance(section, dict):
+            if f.default is dataclasses.MISSING:
+                raise ConfigError(f"{name}: missing configuration "
+                                  + ("section" if is_section else "key"))
+            continue
+        value = kwargs[name] = data[name]
+        if name in _KINDS and not isinstance(value, _KINDS[name][0]):
+            raise ConfigError(f"{name}: must be {_KINDS[name][1]}, "
+                              f"got {value!r}")
+        if not is_section:
+            continue
+        if not isinstance(value, dict):
             raise ConfigError(f"{name}: must be an object")
-        fields = {f.name for f in dataclasses.fields(cls)}
-        for key, value in section.items():
+        section_fields = {g.name for g in dataclasses.fields(cls)}
+        for key, item in value.items():
             where = f"{name}.{key}"
-            if key not in fields:
+            if key not in section_fields:
                 raise ConfigError(f"{where}: unknown field")
-            _require_finite(where, value)
+            _require_finite(where, item)
             least = _INTEGERS.get(where)
-            if least is not None and not (isinstance(value, int)
-                                          and value >= least):
+            if least is not None and not (isinstance(item, int)
+                                          and item >= least):
                 raise ConfigError(f"{where}: must be an integer >= {least}, "
-                                  f"got {value!r}")
+                                  f"got {item!r}")
         try:
-            kwargs[name] = cls(**section)
+            kwargs[name] = cls(**value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{name}: {exc}") from exc
-    if "t_grid" not in data:
-        raise ConfigError("t_grid: missing configuration key")
-    run = {"t_grid": data["t_grid"],
-           "gamma_list": data.get("gamma_list", DEFAULT_GAMMAS),
-           "verbatim_terms": data.get("verbatim_terms", False),
-           "homogeneous_only": data.get("homogeneous_only", False),
-           "output_dir": data.get("output_dir", "out")}
-    for key, kind, what in (("t_grid", (list, tuple), "a list of numbers"),
-                            ("gamma_list", (list, tuple), "a list of numbers"),
-                            ("verbatim_terms", bool, "true or false"),
-                            ("homogeneous_only", bool, "true or false"),
-                            ("output_dir", str, "a string")):
-        if not isinstance(run[key], kind):
-            raise ConfigError(f"{key}: must be {what}, got {run[key]!r}")
-    return ExperimentConfig(noise=data.get("noise"), **run, **kwargs)
+    return ExperimentConfig(**kwargs)
 
 
 def load_config(path) -> ExperimentConfig:

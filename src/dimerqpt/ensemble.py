@@ -27,13 +27,13 @@ import numpy as np
 
 from .bath import (BathParams, ProcessTensor, closure_ground_row,
                    secular_dynamics, secular_rates)
-from .errors import DegenerateDimerError, raise_first_failure
+from .errors import raise_first_failure
 from .isoaverage import (N_PARAMS, SECULAR_SLOTS, geometry_blocks,
                          params_to_elements, pathway_structure,
                          secular_params, solve_tensors)
-from .model import DimerParams, diagonalize, dipole_vectors
-from .pulses import (PulseToolbox, check_generators, kron_power4, kron_solve,
-                     pulse_coefficient)
+from .model import DimerParams, basis_checks, diagonalize, dipole_vectors
+from .pulses import (PulseToolbox, base_coefficient_matrix, check_generators,
+                     kron_power4, kron_solve)
 from .response import SignalTable, iso_dipole_factors
 from .units import to_angular
 
@@ -104,9 +104,7 @@ def prepare(members, start, bath, toolbox, waiting_times) -> Prepared:
     energies = np.stack([avg + split, avg - split], axis=-1)   # e, ep
     mu = dipole_vectors(theta, d1, d2, phi)                    # (n, 4, 3)
     table = iso_dipole_factors(mu)
-    base = pulse_coefficient(energies[:, None, :],
-                             np.array(toolbox.carriers, dtype=float)[:, None],
-                             toolbox)
+    base = base_coefficient_matrix(energies, toolbox)
     gap = energies[:, 0] - energies[:, 1]
     k_down, k_up, rate = secular_rates(theta, gap, bath)
     pop, phase = secular_dynamics(k_down, k_up, to_angular(gap), rate,
@@ -117,10 +115,7 @@ def prepare(members, start, bath, toolbox, waiting_times) -> Prepared:
         return ~np.isfinite(array).reshape(len(members), -1).all(axis=1)
 
     raise_first_failure(
-        start, ((delta == 0.0) & (j == 0.0), DegenerateDimerError,
-                "degenerate dimer: cannot build exciton basis"),
-        (np.linalg.norm(mu[:, 0], axis=-1) == 0.0, DegenerateDimerError,
-         "mu_eg vanishes: angle reference undefined"),
+        start, *basis_checks(delta, j, mu[:, 0]),
         (not_finite(table), ValueError,
          "isotropic dipole factors are not finite"),
         (not_finite(base), ValueError, "pulse generator is not finite"),

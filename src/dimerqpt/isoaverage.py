@@ -295,33 +295,3 @@ def solve_tensors(pathways, blocks: MBlocks):
     elements = params_to_elements(np.swapaxes(params, -1, -2))
     return params, elements, closure_ground_row(elements)
 
-
-def closed_form_block_ee(basis: ExcitonBasis, gamma: float):
-    """Independent closed-form evaluation of the (e,e)-preparation block.
-
-    Written directly from the collinear-average identity
-    <(a.z)(b.z)(c.z)(d.z)> = [(a.b)(c.d) + (a.c)(b.d) + (a.d)(b.c)] / 15
-    applied to the pathway dipole products, as a cross-check on the
-    machine-derived block.
-    """
-    mu_eg = basis.mu_eg
-    mu_epg = basis.mu_epg
-    mu_fe = basis.mu_fe
-    mu_fep = basis.mu_fep
-    avg = iso_average_four
-    g1 = 1.0 - gamma
-    m = np.zeros((4, 4), dtype=complex)
-    # rows: (r,s) = (e,e), (e,ep), (ep,e), (ep,ep); columns per block ordering
-    m[0, 0] = -2.0 * avg(mu_eg, mu_eg, mu_eg, mu_eg)
-    m[0, 1] = -avg(mu_eg, mu_eg, mu_eg, mu_eg) \
-        - g1 * avg(mu_eg, mu_eg, mu_fep, mu_fep)
-    coh = -avg(mu_eg, mu_eg, mu_eg, mu_epg) \
-        - g1 * avg(mu_eg, mu_eg, mu_fep, mu_fe)
-    m[1, 2] = coh
-    m[1, 3] = -1j * coh
-    m[2, 2] = coh
-    m[2, 3] = 1j * coh
-    m[3, 0] = -avg(mu_eg, mu_eg, mu_epg, mu_epg) \
-        - g1 * avg(mu_eg, mu_eg, mu_fe, mu_fe)
-    m[3, 1] = -2.0 * avg(mu_eg, mu_eg, mu_epg, mu_epg)
-    return m

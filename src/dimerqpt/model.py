@@ -8,11 +8,11 @@ All four allowed transition dipoles lie in the xz plane of the molecular
 frame; the reference axis is chosen so that mu_eg points along z.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDimerError
+from .errors import DegenerateDimerError, raise_first_failure
 
 # exciton index convention used across the package
 E, EP = 0, 1
@@ -67,10 +67,10 @@ class ExcitonBasis:
     energy_e: float
     energy_ep: float
     energy_f: float
-    mu_eg: np.ndarray = field(default=None)
-    mu_epg: np.ndarray = field(default=None)
-    mu_fe: np.ndarray = field(default=None)
-    mu_fep: np.ndarray = field(default=None)
+    mu_eg: np.ndarray
+    mu_epg: np.ndarray
+    mu_fe: np.ndarray
+    mu_fep: np.ndarray
 
     def dipole(self, label):
         return {"eg": self.mu_eg, "epg": self.mu_epg,
@@ -95,23 +95,6 @@ def diagonalize(site_energy_1, site_energy_2, coupling_j):
             np.hypot(delta, coupling_j))
 
 
-def build_exciton_basis(dimer: DimerParams) -> ExcitonBasis:
-    """Diagonalize the one-exciton block and attach transition dipoles."""
-    avg, delta, theta, split = diagonalize(
-        dimer.site_energy_1, dimer.site_energy_2, dimer.coupling_j)
-    if delta == 0.0 and dimer.coupling_j == 0.0:
-        raise DegenerateDimerError("degenerate dimer: cannot build exciton basis")
-    basis = ExcitonBasis(
-        mixing_angle_theta=theta,
-        average_freq=avg,
-        half_difference_delta=delta,
-        energy_e=avg + split,
-        energy_ep=avg - split,
-        energy_f=dimer.site_energy_1 + dimer.site_energy_2,
-    )
-    return transition_dipoles(dimer, basis)
-
-
 def dipole_vectors(theta, dipole_d1, dipole_d2, phi):
     """The four transition dipoles (..., 4, 3), in DIPOLE_LABELS order.
 
@@ -131,17 +114,32 @@ def dipole_vectors(theta, dipole_d1, dipole_d2, phi):
                     axis=-2)
 
 
-def transition_dipoles(dimer: DimerParams, basis: ExcitonBasis) -> ExcitonBasis:
-    """Fill in the four exciton transition dipoles."""
+def basis_checks(delta, coupling_j, mu_eg):
+    """The two checks that reject an undefined exciton basis, a degenerate
+    dimer and a vanishing mu_eg (the angle reference), as the (bad, error,
+    message) triples of ``errors.raise_first_failure``.  Arguments are one
+    dimer's half-difference, coupling and mu_eg (3,), or arrays of several
+    dimers'."""
+    return (((delta == 0.0) & (coupling_j == 0.0), DegenerateDimerError,
+             "degenerate dimer: cannot build exciton basis"),
+            (np.linalg.norm(mu_eg, axis=-1) == 0.0, DegenerateDimerError,
+             "mu_eg vanishes: angle reference undefined"))
+
+
+def build_exciton_basis(dimer: DimerParams) -> ExcitonBasis:
+    """Diagonalize the one-exciton block and attach transition dipoles."""
+    avg, delta, theta, split = diagonalize(
+        dimer.site_energy_1, dimer.site_energy_2, dimer.coupling_j)
     mu_eg, mu_epg, mu_fe, mu_fep = dipole_vectors(
-        basis.mixing_angle_theta, dimer.dipole_d1, dimer.dipole_d2,
-        dimer.dipole_angle_phi)
-
-    if np.linalg.norm(mu_eg) == 0.0:
-        raise DegenerateDimerError("mu_eg vanishes: angle reference undefined")
-
-    return replace(
-        basis,
+        theta, dimer.dipole_d1, dimer.dipole_d2, dimer.dipole_angle_phi)
+    raise_first_failure(None, *basis_checks(delta, dimer.coupling_j, mu_eg))
+    return ExcitonBasis(
+        mixing_angle_theta=theta,
+        average_freq=avg,
+        half_difference_delta=delta,
+        energy_e=avg + split,
+        energy_ep=avg - split,
+        energy_f=dimer.site_energy_1 + dimer.site_energy_2,
         mu_eg=mu_eg,
         mu_epg=mu_epg,
         mu_fe=mu_fe,

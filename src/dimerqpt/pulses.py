@@ -60,13 +60,15 @@ def pulse_coefficient(transition_freq, omega, toolbox: PulseToolbox):
             * math.sqrt(2.0 * math.pi) * sigma * envelope)
 
 
-def base_coefficient_matrix(basis: ExcitonBasis, toolbox: PulseToolbox):
-    """2x2 matrix c[w, p] of single-pulse coefficients.
+def base_coefficient_matrix(energies, toolbox: PulseToolbox):
+    """Matrices c[w, p] (..., 2, 2) of single-pulse coefficients of exciton
+    energies (..., 2) in cm^-1, ordered (e, ep).
 
     Rows are the carriers (plus, minus), columns the exciton labels (e, ep).
     """
-    return pulse_coefficient(np.array([basis.energy_e, basis.energy_ep]),
-                             np.array(toolbox.carriers)[:, None], toolbox)
+    return pulse_coefficient(np.asarray(energies, dtype=float)[..., None, :],
+                             np.array(toolbox.carriers, dtype=float)[:, None],
+                             toolbox)
 
 
 def check_generators(base, toolbox: PulseToolbox, first_member=None):
@@ -139,6 +141,7 @@ class CMatrix:
 
 def build_c_matrix(basis: ExcitonBasis, toolbox: PulseToolbox) -> CMatrix:
     """Kronecker-assemble the 16x16 matrix and reject unusable toolboxes."""
-    base = base_coefficient_matrix(basis, toolbox)
+    base = base_coefficient_matrix([basis.energy_e, basis.energy_ep],
+                                   toolbox)
     check_generators(base, toolbox)
     return CMatrix(entries=kron_power4(base), base_2x2=base)

@@ -20,24 +20,6 @@ from .model import E, EP
 from .pulses import CMatrix, kron_solve
 
 
-def choi_matrix(tensor: ProcessTensor):
-    """9x9 Choi matrix of the map on span{g, e, ep}.
-
-    Entry [(nu, n), (mu, m)] is the amplitude taking the input element
-    |nu><mu| to the output element |n><m|.  The ground population is a fixed
-    point; blocks fed by optical coherences are zero (full optical
-    dephasing).  So the matrix is 1 + 0_2 + G + X on rows {0}, {1, 2},
-    {3, 6} and {4, 5, 7, 8}: G the ground row, X[(nu, n), (mu, m)] the
-    element [n, m, nu, mu].
-    """
-    chi = np.zeros((3, 3, 3, 3), dtype=complex)
-    chi[0, 0, 0, 0] = 1.0
-    chi[0, 0, 1:, 1:] = tensor.ground_row
-    chi[1:, 1:, 1:, 1:] = tensor.elements
-    # rows (input ket, output ket), columns (input bra, output bra)
-    return chi.transpose(2, 0, 3, 1).reshape(9, 9)
-
-
 @dataclass(frozen=True)
 class TensorDiagnostics:
     """Physicality figures: floats for one tensor, (n,) arrays for n."""
@@ -58,7 +40,7 @@ def validate_tensors(elements, grounds) -> TensorDiagnostics:
     """Diagnostics of n tensors: elements (n, 2, 2, 2, 2), grounds (n, 2, 2).
 
     Returns one ``TensorDiagnostics`` of (n,) arrays.  The Choi matrix is
-    1 + 0_2 + G + X (``choi_matrix``), so ``min_choi_eig`` is <= 0, the
+    1 + 0_2 + G + X on {g, e, ep}, so ``min_choi_eig`` is <= 0, the
     least of 0 and the Hermitian parts' eigenvalues (one stacked ``eigvalsh``
     per block).  A defect too large for a double is inf, and a tensor that
     is not finite gets ``min_choi_eig`` NaN: both fail.

@@ -1,7 +1,6 @@
 import ast
 import csv
 from dataclasses import fields, replace
-from importlib import metadata
 import io
 import json
 import math
@@ -186,18 +185,10 @@ def test_gamma_values_sharing_a_file_tag_rejected(tmp_path, capsys,
     assert os.listdir(tmp_path) == ["cfg.json"]
 
 
-def _installed_version(name):
-    try:
-        return metadata.version(name)
-    except metadata.PackageNotFoundError:
-        return "unknown"
-
-
 def test_manifest_versions_without_importing_scipy(config_path,
                                                    small_config):
-    """simulate records the library versions from their metadata: scipy is
-    never imported, nor importlib.metadata or the email package it loads,
-    and the manifest names the installed distributions."""
+    """simulate records the versions of the code that ran: scipy is never
+    imported, nor importlib.metadata or the email package it loads."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     probe = ("import sys; from dimerqpt.cli import main; "
              "rc = main(['simulate', '--config', sys.argv[1]]); "
@@ -210,31 +201,27 @@ def test_manifest_versions_without_importing_scipy(config_path,
     with open(os.path.join(small_config.output_dir,
                            "run_manifest.json")) as fh:
         versions = json.load(fh)["versions"]
-    assert versions == {name: _installed_version(name)
-                        for name in ("dimerqpt", "numpy", "scipy")}
+    assert versions == {"dimerqpt": dimerqpt.__version__,
+                        "numpy": np.__version__}
 
 
-def test_distribution_version_matches_importlib_metadata(tmp_path,
-                                                         monkeypatch):
-    """The manifest's version lookup gives what importlib.metadata.version
-    gives: for numpy and scipy, for a dist-info directory and an egg-info
-    file put first on sys.path, and "unknown" for a name not installed."""
-    info = tmp_path / "foo-1.2.3.dist-info"
-    info.mkdir()
-    (info / "METADATA").write_text(
-        "Metadata-Version: 2.1\nName: foo\nVersion: 1.2.3\n\n"
-        "Version: 9 (a body line, not a header)\n")
-    (tmp_path / "Bar_Baz-0.4.egg-info").write_text(
-        "Metadata-Version: 1.0\nName: bar.baz\nversion: 0.4.dev1\n")
-    monkeypatch.syspath_prepend(str(tmp_path))
-    lookup = cli._distribution_version.__wrapped__
-    names = ["numpy", "scipy", "foo", "FOO", "bar-baz", "bar.baz",
-             "dimerqpt", "no-such-distribution-xyz"]
-    got = {name: lookup(name) for name in names}
-    assert got == {name: _installed_version(name) for name in names}
-    assert got["foo"] == "1.2.3" and got["bar-baz"] == "0.4.dev1"
-    assert got["numpy"] == np.__version__
-    assert got["no-such-distribution-xyz"] == "unknown"
+def test_simulate_failing_at_a_later_gamma_leaves_no_files(tmp_path,
+                                                          monkeypatch,
+                                                          capsys):
+    """A geometry that is singular at Gamma = 1 only: simulate writes the
+    Gamma = 0 files, then fails, and removes what it wrote."""
+    cfg = replace(default_config(output_dir="."), homogeneous_only=True,
+                  dimer=replace(default_config().dimer,
+                                dipole_ratio_d2_over_d1=1.0,
+                                dipole_angle_phi=math.pi / 2),
+                  gamma_list=(0.0, 1.0), t_grid=(120.0, 300.0))
+    save_config(cfg, tmp_path / "cfg.json")
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--config", "cfg.json"]) == 1
+    assert capsys.readouterr().err == (
+        "error: member 0: geometry block ee is singular for this dipole "
+        "geometry\n")
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 def test_simulate_reconstruct_validate_flow(config_path, small_config):

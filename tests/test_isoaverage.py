@@ -11,15 +11,45 @@ from dimerqpt.bath import (ProcessTensor, build_redfield_generator,
                            propagator_elements, secular_dynamics)
 from dimerqpt.errors import SingularGeometryError, raise_first_failure
 from dimerqpt.isoaverage import (COND_THRESHOLD, N_PARAMS, SECULAR_SLOTS,
-                                 build_m_blocks, closed_form_block_ee,
-                                 geometry_blocks, iso_average_four,
-                                 params_to_elements, params_to_tensor,
-                                 pathway_index, pathway_structure,
-                                 secular_params, solve_chi_blocks,
-                                 tensor_to_params)
-from dimerqpt.model import DimerParams, build_exciton_basis
+                                 build_m_blocks, geometry_blocks,
+                                 iso_average_four, params_to_elements,
+                                 params_to_tensor, pathway_index,
+                                 pathway_structure, secular_params,
+                                 solve_chi_blocks, tensor_to_params)
+from dimerqpt.model import DimerParams, ExcitonBasis, build_exciton_basis
 from dimerqpt.reconstruct import validate_tensor
 from dimerqpt.response import DIPOLE_TUPLES, iso_pathway_vector
+
+
+def closed_form_block_ee(basis: ExcitonBasis, gamma: float):
+    """Independent closed-form evaluation of the (e,e)-preparation block.
+
+    Written directly from the collinear-average identity
+    <(a.z)(b.z)(c.z)(d.z)> = [(a.b)(c.d) + (a.c)(b.d) + (a.d)(b.c)] / 15
+    applied to the pathway dipole products, as a cross-check on the
+    machine-derived block.
+    """
+    mu_eg = basis.mu_eg
+    mu_epg = basis.mu_epg
+    mu_fe = basis.mu_fe
+    mu_fep = basis.mu_fep
+    avg = iso_average_four
+    g1 = 1.0 - gamma
+    m = np.zeros((4, 4), dtype=complex)
+    # rows: (r,s) = (e,e), (e,ep), (ep,e), (ep,ep); columns per block ordering
+    m[0, 0] = -2.0 * avg(mu_eg, mu_eg, mu_eg, mu_eg)
+    m[0, 1] = -avg(mu_eg, mu_eg, mu_eg, mu_eg) \
+        - g1 * avg(mu_eg, mu_eg, mu_fep, mu_fep)
+    coh = -avg(mu_eg, mu_eg, mu_eg, mu_epg) \
+        - g1 * avg(mu_eg, mu_eg, mu_fep, mu_fe)
+    m[1, 2] = coh
+    m[1, 3] = -1j * coh
+    m[2, 2] = coh
+    m[2, 3] = 1j * coh
+    m[3, 0] = -avg(mu_eg, mu_eg, mu_epg, mu_epg) \
+        - g1 * avg(mu_eg, mu_eg, mu_fe, mu_fe)
+    m[3, 1] = -2.0 * avg(mu_eg, mu_eg, mu_epg, mu_epg)
+    return m
 
 
 def mc_average_zzzz(vectors, n_rotations, seed):

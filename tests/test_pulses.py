@@ -61,7 +61,8 @@ def test_far_off_resonance_coefficient_is_zero(toolbox):
 
 
 def test_base_matrix_values(basis, toolbox):
-    base = base_coefficient_matrix(basis, toolbox)
+    base = base_coefficient_matrix([basis.energy_e, basis.energy_ep],
+                                   toolbox)
     # diagonal dominance: each carrier mostly addresses its own exciton
     assert abs(base[0, 0]) > 1e4 * abs(base[0, 1])
     assert abs(base[1, 1]) > 1e4 * abs(base[1, 0])

@@ -7,11 +7,29 @@ from dimerqpt.bath import (ProcessTensor, build_redfield_generator,
 from dimerqpt.isoaverage import build_m_blocks
 from dimerqpt.model import build_exciton_basis
 from dimerqpt.pulses import build_c_matrix
-from dimerqpt.reconstruct import (choi_matrix, invert_signals, reconstruct,
+from dimerqpt.reconstruct import (invert_signals, reconstruct,
                                   reconstruct_rows, reconstruct_single,
                                   tensor_distance, validate_tensor,
                                   validate_tensors)
 from dimerqpt.response import SignalTable, iso_pathway_vector
+
+
+def choi_matrix(tensor: ProcessTensor):
+    """9x9 Choi matrix of the map on span{g, e, ep}.
+
+    Entry [(nu, n), (mu, m)] is the amplitude taking the input element
+    |nu><mu| to the output element |n><m|.  The ground population is a fixed
+    point; blocks fed by optical coherences are zero (full optical
+    dephasing).  So the matrix is 1 + 0_2 + G + X on rows {0}, {1, 2},
+    {3, 6} and {4, 5, 7, 8}: G the ground row, X[(nu, n), (mu, m)] the
+    element [n, m, nu, mu].
+    """
+    chi = np.zeros((3, 3, 3, 3), dtype=complex)
+    chi[0, 0, 0, 0] = 1.0
+    chi[0, 0, 1:, 1:] = tensor.ground_row
+    chi[1:, 1:, 1:, 1:] = tensor.elements
+    # rows (input ket, output ket), columns (input bra, output bra)
+    return chi.transpose(2, 0, 3, 1).reshape(9, 9)
 
 
 def random_lindblad_tensor(rng, waiting_time=1.0):
