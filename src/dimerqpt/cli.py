@@ -21,10 +21,11 @@ import numpy as np
 
 import dimerqpt
 from .config import (ExperimentConfig, config_to_dict, default_config,
-                     gamma_tag, load_config)
+                     gamma_tag, load_config, read_json)
 from .ensemble import (evaluate_ensemble, invert, prepare, propagators,
                        sample_members)
-from .errors import ConfigError, DimerQptError
+from .errors import ConfigError, DimerQptError, InputFileError
+from .model import EXCITON_LABELS
 from .reconstruct import validate_tensors
 from .response import OMEGA_LABELS, PATHWAY_LABELS, SignalTable
 
@@ -33,16 +34,18 @@ EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
-_STATE_NAMES = ("e", "ep")
+_MANIFEST = "run_manifest.json"
+# default tolerance of the Hermiticity, trace and Choi checks
+_TOLERANCE = 1e-8
+# each CSV kind is a header and its row keys (``labels``) in column order
 _SIGNAL_HEADER = ["T_fs", "omega_tuple", "re_signal", "im_signal"]
 _PATHWAY_HEADER = ["T_fs", "pathway", "re_p", "im_p"]
-_OMEGA_COLUMN = {label: col for col, label in enumerate(OMEGA_LABELS)}
 _TENSOR_HEADER = ["T_fs", "n", "m", "nu", "mu", "re_chi", "im_chi"]
-# (n, m, nu, mu) of each tensor-file row: the elements in array order, then
-# the ground row
-_TENSOR_ROWS = (list(product(_STATE_NAMES, repeat=4))
-                + [("g", "g") + p for p in product(_STATE_NAMES, repeat=2)])
-_TENSOR_SLOT = {",".join(key): slot for slot, key in enumerate(_TENSOR_ROWS)}
+# (n, m, nu, mu) of each tensor-file row, joined with commas: the elements
+# in array order, then the ground row
+_TENSOR_LABELS = [",".join(key) for key in chain(
+    product(EXCITON_LABELS, repeat=4),
+    (("g", "g") + p for p in product(EXCITON_LABELS, repeat=2)))]
 # a byte that is not valid text becomes a lone surrogate in its field, which
 # then fails to parse; messages show it escaped, as repr does
 _DECODE_ERRORS = "surrogateescape"
@@ -54,7 +57,7 @@ def _write_manifest(config, outdir):
         "versions": {"dimerqpt": dimerqpt.__version__,
                      "numpy": np.__version__},
     }
-    with open(os.path.join(outdir, "run_manifest.json"), "w") as fh:
+    with open(os.path.join(outdir, _MANIFEST), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -143,15 +146,22 @@ def _write_rows(path, header, t_grid, labels, values):
             fh.write((t + t.join(rows)) % tuple(numbers.tolist()))
 
 
-def _parse_row(fields, width, slots, key_name):
+def _key(fields):
+    """The key of a CSV row, or of its header (how messages name the key):
+    the fields between T and (re, im), joined with commas."""
+    return ",".join(fields[1:-2])
+
+
+def _parse_row(fields, header, slots):
     """(T, key, value) of one non-blank CSV row of (T_fs, key fields...,
-    re, im).  A malformed row raises ValueError saying what is wrong, for
-    the first fault in the order field count, key, T, re, im, finiteness."""
-    if len(fields) != width:
-        raise ValueError(f"expected {width} fields, got {len(fields)}")
-    key = ",".join(fields[1:-2])
+    re, im) under ``header``, the key one of ``slots``.  A malformed row
+    raises ValueError saying what is wrong, for the first fault in the
+    order field count, key, T, re, im, finiteness."""
+    if len(fields) != len(header):
+        raise ValueError(f"expected {len(header)} fields, got {len(fields)}")
+    key = _key(fields)
     if key not in slots:
-        raise ValueError(f"unknown {key_name} {key!r}")
+        raise ValueError(f"unknown {_key(header)} {key!r}")
     t, re, im = float(fields[0]), float(fields[-2]), float(fields[-1])
     if not (math.isfinite(t) and math.isfinite(re) and math.isfinite(im)):
         raise ValueError("non-finite number")
@@ -171,7 +181,7 @@ def _guarded_lines(fh, keys):
     """
     block = list(islice(fh, len(keys)))
     fields = [line.split(",") for line in block]
-    if any(row[0] != fields[0][0] or ",".join(row[1:-2]) != key
+    if any(row[0] != fields[0][0] or _key(row) != key
            for row, key in zip(fields, keys)):
         raise ValueError("file left to the row checker")
     limit = csv.field_size_limit()
@@ -181,14 +191,14 @@ def _guarded_lines(fh, keys):
         yield line
 
 
-def _read_writer_layout(fh, header, slots):
+def _read_writer_layout(fh, header, labels):
     """(T, values) of the CSV open in ``fh`` if it is in the writer's
     layout, else None (with ``fh`` read part-way).
 
     The writer's layout is ``header`` as the writer writes it, then for each
-    T in strictly increasing order one block of rows, a row per key in slot
-    order, each row carrying the same T and finite numbers.  The first
-    block is checked as text (``_guarded_lines``), then one
+    T in strictly increasing order one block of rows, a row per key of
+    ``labels`` in order, each row carrying the same T and finite numbers.
+    The first block is checked as text (``_guarded_lines``), then one
     ``np.loadtxt`` call parses the rows; it reads numbers with the parser
     ``float`` uses, so a file accepted here is accepted by the row checker
     with the same (T, values) (a T spelled 0 and -0 in one block is that of
@@ -198,15 +208,14 @@ def _read_writer_layout(fh, header, slots):
     """
     if fh.readline() != ",".join(header) + "\r\n":
         return None
-    names = sorted(slots, key=slots.get)
-    # (k, key fields) bytes: the key fields of a block's rows, in slot order
-    keys = np.array([key.split(",") for key in names], dtype=bytes)
+    # (k, key fields) bytes: the key fields of a block's rows, in order
+    keys = np.array([label.split(",") for label in labels], dtype=bytes)
     dtype = [("t", "f8"), ("key", f"S{keys.itemsize + 1}", keys.shape[1:]),
              ("re", "f8"), ("im", "f8")]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            rows = np.loadtxt(_guarded_lines(fh, names), dtype=dtype,
+            rows = np.loadtxt(_guarded_lines(fh, labels), dtype=dtype,
                               delimiter=",", quotechar=None, comments=None,
                               ndmin=1)
         except (ValueError, Warning):
@@ -227,25 +236,26 @@ def _read_writer_layout(fh, header, slots):
     return t[:, 0].copy(), values
 
 
-def _read_rows(path, header, slots, key_name):
+def _read_rows(path, header, labels):
     """CSV of (T_fs, key fields..., re, im) rows -> (T, values) sorted by T.
 
-    Each T must carry every key of ``slots`` (joined with commas) exactly
-    once, with finite numbers; rows may come in any order and blank rows are
-    skipped.  ``T`` is (n_T,) float and ``values`` (n_T, k) complex, k =
-    len(slots), with columns in slot order.  A file in the writer's layout
+    Each T must carry every key of ``labels`` exactly once, with finite
+    numbers; rows may come in any order and blank rows are skipped.  ``T``
+    is (n_T,) float and ``values`` (n_T, k) complex, k = len(labels), with
+    columns in the order of ``labels``.  A file in the writer's layout
     is parsed in one pass (``_read_writer_layout``).  Any other file goes
     to the row checker, which reads it row by row (``_parse_row``) and
-    raises ValueError naming ``path:line`` at the first malformed or
+    raises InputFileError naming ``path:line`` at the first malformed or
     duplicated row; a row spanning several lines is named by its last.
     After the last row, a missing key is named at the first row of the
     smallest T that lacks one.  Bytes that are not valid text make their
     row malformed.
     """
+    slots = frozenset(labels)
     # {T: {key: (line, value)}}, both levels in file order
     blocks = {}
     with open(path, newline="", errors=_DECODE_ERRORS) as fh:
-        result = _read_writer_layout(fh, header, slots)
+        result = _read_writer_layout(fh, header, labels)
         if result is not None:
             return result
         fh.seek(0)
@@ -255,53 +265,51 @@ def _read_rows(path, header, slots, key_name):
         except csv.Error:
             row = None
         if row != header:
-            raise ValueError(f"{path}:1: unexpected header {row}")
+            raise InputFileError(f"{path}:1: unexpected header {row}")
         try:
             for fields in reader:
                 if not fields:
                     continue
                 line = reader.line_num
                 try:
-                    t, key, value = _parse_row(fields, len(header), slots,
-                                               key_name)
+                    t, key, value = _parse_row(fields, header, slots)
                 except ValueError as exc:
-                    raise ValueError(
+                    raise InputFileError(
                         f"{path}:{line}: malformed row ({exc})") from None
                 block = blocks.setdefault(t, {})
                 if key in block:
-                    raise ValueError(
+                    raise InputFileError(
                         f"{path}:{line}: duplicate row for T_fs={t:g}, "
-                        f"{key_name}={key} (first at line {block[key][0]})")
+                        f"{_key(header)}={key} "
+                        f"(first at line {block[key][0]})")
                 block[key] = line, value
         except csv.Error as exc:
-            raise ValueError(f"{path}:{reader.line_num}: malformed row "
-                             f"({exc})") from None
+            raise InputFileError(f"{path}:{reader.line_num}: malformed row "
+                                 f"({exc})") from None
     if not blocks:
-        raise ValueError(f"{path}: no data rows")
+        raise InputFileError(f"{path}: no data rows")
     times = sorted(blocks)
     for t in times:
         block = blocks[t]
-        missing = [key for key in slots if key not in block]
+        missing = [key for key in labels if key not in block]
         if missing:
             first_line = next(iter(block.values()))[0]
-            raise ValueError(
+            raise InputFileError(
                 f"{path}:{first_line}: T_fs={t:g} has no row for "
-                f"{key_name} {'; '.join(missing)}")
-    columns = sorted(slots, key=slots.get)
-    values = [[blocks[t][key][1] for key in columns] for t in times]
+                f"{_key(header)} {'; '.join(missing)}")
+    values = [[blocks[t][key][1] for key in labels] for t in times]
     return np.array(times), np.array(values, dtype=complex)
 
 
 def _read_signal_table(path, config):
     """Signal CSV -> SignalTable on the configuration's exact waiting times."""
-    t_grid, values = _read_rows(path, _SIGNAL_HEADER, _OMEGA_COLUMN,
-                                "omega_tuple")
+    t_grid, values = _read_rows(path, _SIGNAL_HEADER, OMEGA_LABELS)
     expected = np.asarray(config.t_grid, dtype=float)
     if not np.array_equal(t_grid, expected):
         # both are strictly increasing, so some T is in only one of them
         stray = np.setxor1d(t_grid, expected)[0].item()
         side = "configuration" if stray in expected else "file"
-        raise ValueError(
+        raise InputFileError(
             f"{path}: waiting-time grid does not match the configuration "
             f"(T_fs={stray!r} is only in the {side})")
     return SignalTable(t_grid=t_grid, values=values)
@@ -309,9 +317,25 @@ def _read_signal_table(path, config):
 
 def _write_tensor_csv(path, elements, grounds, t_grid):
     n = len(elements)
-    _write_rows(path, _TENSOR_HEADER, t_grid, list(_TENSOR_SLOT),
+    _write_rows(path, _TENSOR_HEADER, t_grid, _TENSOR_LABELS,
                 np.concatenate([elements.reshape(n, 16),
                                 grounds.reshape(n, 4)], axis=1))
+
+
+def _physicality(elements, grounds, times, tolerance=_TOLERANCE):
+    """The physicality of n tensors at waiting times ``times``: a one-pass
+    iterator of ``T=...: herm=... trace=... min_choi_eig=...`` lines, one
+    per T, made as the caller uses them so that no second list of lines is
+    held, and (n,) bools, whether each passes every check at ``tolerance``.
+    """
+    diag = validate_tensors(elements, grounds)
+    lines = (f"T={t:g}: herm={herm:.3e} trace={trace:.3e} "
+             f"min_choi_eig={eig:.3e}"
+             for t, herm, trace, eig in zip(
+                 times, diag.hermiticity_defect.tolist(),
+                 diag.trace_defect.tolist(), diag.min_choi_eig.tolist()))
+    return lines, diag.passed(herm_tol=tolerance, trace_tol=tolerance,
+                              choi_tol=tolerance)
 
 
 def cmd_reconstruct(config: ExperimentConfig):
@@ -343,11 +367,7 @@ def cmd_reconstruct(config: ExperimentConfig):
         tag = gamma_tag(gamma)
         if config.homogeneous_only:
             sig_path, _ = _signal_paths(config, gamma)
-            try:
-                table = _read_signal_table(sig_path, config)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_IO
+            table = _read_signal_table(sig_path, config)
             with np.errstate(over="ignore", invalid="ignore"):
                 blocks, (elements,), (grounds,) = invert(
                     nominal, np.array([gamma]), table.values.T[None],
@@ -368,15 +388,9 @@ def cmd_reconstruct(config: ExperimentConfig):
                 f"gamma={tag}: member-wise ensemble average over "
                 f"{result.n_members} members, cond(C base)="
                 f"{nominal.cond_base[0]:.6g}")
-        diag = validate_tensors(elements, grounds)
-        failed = failed or not diag.passed(herm_tol=1e-8, trace_tol=1e-8,
-                                           choi_tol=1e-8).all()
-        report_lines += [
-            f"gamma={tag} T={t:g}: herm={herm:.3e} trace={trace:.3e} "
-            f"min_choi_eig={eig:.3e}"
-            for t, herm, trace, eig in zip(
-                config.t_grid, diag.hermiticity_defect.tolist(),
-                diag.trace_defect.tolist(), diag.min_choi_eig.tolist())]
+        lines, passed = _physicality(elements, grounds, config.t_grid)
+        failed = failed or not passed.all()
+        report_lines += [f"gamma={tag} {line}" for line in lines]
         _write_tensor_csv(tensor_path, elements, grounds, config.t_grid)
     report = "\n".join(report_lines) + "\n"
     with open(report_path, "w") as fh:
@@ -388,49 +402,30 @@ def cmd_reconstruct(config: ExperimentConfig):
 def _parse_tensor_csv(path):
     """Tensor CSV -> T (n,), elements (n, 2, 2, 2, 2), ground rows (n, 2, 2),
     the last two views of the rows read; raises ValueError on bad rows."""
-    times, values = _read_rows(path, _TENSOR_HEADER, _TENSOR_SLOT,
-                               "n,m,nu,mu")
+    times, values = _read_rows(path, _TENSOR_HEADER, _TENSOR_LABELS)
     n = len(times)
     return (times, values[:, :16].reshape(n, 2, 2, 2, 2),
             values[:, 16:].reshape(n, 2, 2))
 
 
-def cmd_validate(tensor_csv, tolerance=1e-8):
-    try:
-        times, elements, grounds = _parse_tensor_csv(tensor_csv)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    diag = validate_tensors(elements, grounds)
-    ok = diag.passed(herm_tol=tolerance, trace_tol=tolerance,
-                     choi_tol=tolerance)
+def cmd_validate(tensor_csv, tolerance=_TOLERANCE):
+    times, elements, grounds = _parse_tensor_csv(tensor_csv)
+    lines, ok = _physicality(elements, grounds, times.tolist(), tolerance)
     sys.stdout.write("".join(
-        f"T={t:g}: herm={herm:.3e} trace={trace:.3e} "
-        f"min_choi_eig={eig:.3e} [{'pass' if passed else 'FAIL'}]\n"
-        for t, herm, trace, eig, passed in zip(
-            times.tolist(), diag.hermiticity_defect.tolist(),
-            diag.trace_defect.tolist(), diag.min_choi_eig.tolist(),
-            ok.tolist())))
+        f"{line} [{'pass' if passed else 'FAIL'}]\n"
+        for line, passed in zip(lines, ok.tolist())))
     return EXIT_OK if ok.all() else EXIT_VALIDATION
 
 
 def cmd_report(output_dir):
-    path = os.path.join(output_dir, "run_manifest.json")
-    try:
-        with open(path) as fh:
-            manifest = json.load(fh)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except json.JSONDecodeError as exc:
-        print(f"error: {path}: invalid JSON ({exc})", file=sys.stderr)
-        return EXIT_IO
+    path = os.path.join(output_dir, _MANIFEST)
+    manifest = read_json(path, InputFileError)
     cfg = manifest.get("config", {}) if isinstance(manifest, dict) else None
     grid = cfg.get("t_grid", []) if isinstance(cfg, dict) else None
     if not isinstance(grid, list):
-        print(f"error: {path}: not a run manifest (expected an object whose "
-              f"'config' object holds a 't_grid' list)", file=sys.stderr)
-        return EXIT_IO
+        raise InputFileError(
+            f"{path}: not a run manifest (expected an object whose "
+            f"'config' object holds a 't_grid' list)")
     sys.stdout.write(
         f"run manifest: {path}\n"
         f"versions: {manifest.get('versions', {})}\n"
@@ -485,7 +480,7 @@ def build_parser():
 
     v = sub.add_parser("validate")
     v.add_argument("tensor_csv")
-    v.add_argument("--tolerance", type=_tolerance, default=1e-8)
+    v.add_argument("--tolerance", type=_tolerance, default=_TOLERANCE)
 
     r = sub.add_parser("report")
     r.add_argument("--output-dir", default="out")
@@ -493,28 +488,26 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command; the only place a failure becomes an exit code and
+    a one-line message on standard error."""
     args = build_parser().parse_args(argv)
     try:
         if args.command == "simulate":
-            config = _load_or_default(args)
-            return cmd_simulate(config)
+            return cmd_simulate(_load_or_default(args))
         if args.command == "reconstruct":
-            config = _load_or_default(args)
-            return cmd_reconstruct(config)
+            return cmd_reconstruct(_load_or_default(args))
         if args.command == "validate":
             return cmd_validate(args.tensor_csv, tolerance=args.tolerance)
-        if args.command == "report":
-            return cmd_report(args.output_dir)
+        return cmd_report(args.output_dir)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as exc:
+    except (OSError, InputFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, DimerQptError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    return EXIT_CONFIG
 
 
 if __name__ == "__main__":

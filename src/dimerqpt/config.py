@@ -169,13 +169,19 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
+def read_json(path, error):
+    """The JSON value in the UTF-8 text file ``path``.  Bytes that are not
+    UTF-8, text that is not JSON, an integer of too many digits or nesting
+    too deep for the parser raise ``error`` naming ``path``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise error(f"{path}: invalid JSON ({exc})") from exc
+
+
 def load_config(path) -> ExperimentConfig:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    return config_from_dict(data)
+    return config_from_dict(read_json(path, ConfigError))
 
 
 def save_config(config: ExperimentConfig, path):

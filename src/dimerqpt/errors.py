@@ -23,6 +23,10 @@ class ConfigError(DimerQptError):
     """An experiment configuration failed validation; names the field."""
 
 
+class InputFileError(DimerQptError, ValueError):
+    """An input file (CSV or run manifest) is malformed; names the file."""
+
+
 def raise_first_failure(first_member, *checks):
     """Raise for the first member flagged by ``checks``, (bad, error,
     message) triples with ``bad`` one bool per member (a scalar for one

@@ -126,10 +126,6 @@ class ReconstructionReport:
             return None
         return float(np.max(self.reference_errors))
 
-    def all_physical(self, herm_tol=1e-10, trace_tol=1e-10, choi_tol=1e-8):
-        return bool(self.diagnostics.passed(herm_tol, trace_tol,
-                                            choi_tol).all())
-
 
 def tensor_distance(a: ProcessTensor, b: ProcessTensor):
     """Max absolute elementwise difference, ground row included."""

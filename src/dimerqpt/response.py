@@ -19,11 +19,10 @@ import numpy as np
 
 from .bath import ProcessTensor
 from .isoaverage import pathway_index
-from .model import DIPOLE_LABELS, E, EP, ExcitonBasis
+from .model import DIPOLE_LABELS, E, EP, EXCITON_LABELS, ExcitonBasis
 
 _GL = ("eg", "epg")            # ground -> exciton dipole label per index
 _FC = ("fep", "fe")            # f-manifold dipole appearing in channel r
-_STATE = ("e", "ep")
 
 
 #: canonical ordering of the sixteen pathway amplitudes
@@ -31,7 +30,7 @@ PATHWAY_ORDER = [(p, q, r, s)
                  for p in (E, EP) for q in (E, EP)
                  for r in (E, EP) for s in (E, EP)]
 
-PATHWAY_LABELS = ["{}.{}.{}.{}".format(*(_STATE[i] for i in pqrs))
+PATHWAY_LABELS = ["{}.{}.{}.{}".format(*(EXCITON_LABELS[i] for i in pqrs))
                   for pqrs in PATHWAY_ORDER]
 
 

@@ -789,6 +789,59 @@ def test_report_rejects_misshapen_manifest(tmp_path, capsys, manifest):
     assert "Traceback" not in err
 
 
+# files that are not JSON text: a byte that is not UTF-8, an integer of more
+# digits than int() converts, and nesting deeper than the parser recurses
+_NOT_JSON = {"non-UTF-8 byte": b'{"t_grid": [1\xff]}',
+             "5000-digit integer": b'{"t_grid": [' + b"1" * 5000 + b"]}",
+             "deep nesting": b"[" * 10**5}
+
+
+@pytest.mark.parametrize("fault", list(_NOT_JSON))
+@pytest.mark.parametrize("command, code, lead", [
+    ("simulate", 2, "configuration error"), ("report", 3, "error")])
+def test_json_input_that_is_not_json_text(tmp_path, capsys, fault, command,
+                                          code, lead):
+    """A configuration (exit 2) or run manifest (exit 3) that cannot be
+    read as JSON text gives one line naming the file, not a traceback."""
+    if command == "simulate":
+        path = tmp_path / "cfg.json"
+        argv = ["simulate", "--config", str(path)]
+    else:
+        path = tmp_path / "run_manifest.json"
+        argv = ["report", "--output-dir", str(tmp_path)]
+    path.write_bytes(_NOT_JSON[fault])
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"{lead}: {path}: invalid JSON (")
+    assert err.count("\n") == 1 and err.endswith(")\n")
+
+
+def test_commands_called_directly_return_their_exit_code(small_config,
+                                                          capsys):
+    """cmd_simulate, cmd_reconstruct and cmd_validate return 0 on a run
+    that completes, and cmd_validate 1 on a tensor that fails its checks,
+    as scripts that call them rely on.  An unreadable file raises, and
+    main maps that to 3."""
+    assert cli.cmd_simulate(small_config) == 0
+    assert cli.cmd_reconstruct(small_config) == 0
+    paths = [os.path.join(small_config.output_dir, f"tensors_gamma{g:g}.csv")
+             for g in small_config.gamma_list]
+    assert [cli.cmd_validate(path) for path in paths] == [0, 0]
+    with open(paths[-1]) as fh:
+        lines = _set_first_real_part(fh.readlines(), "120,e,e,e,e,", "1e308")
+    with open(paths[-1], "w") as fh:
+        fh.writelines(lines)
+    assert cli.cmd_validate(paths[-1]) == 1
+    missing = os.path.join(small_config.output_dir, "nope.csv")
+    with pytest.raises(OSError):
+        cli.cmd_validate(missing)
+    capsys.readouterr()
+    assert main(["validate", missing]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and missing in err
+
+
 _SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                    1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308,
                    0.1, 1 / 3]
@@ -803,7 +856,7 @@ def test_write_rows_matches_csv_writer(data, schema, n, transposed):
     if schema == "signals":
         header, labels = cli._SIGNAL_HEADER, cli.OMEGA_LABELS
     else:
-        header, labels = cli._TENSOR_HEADER, list(cli._TENSOR_SLOT)
+        header, labels = cli._TENSOR_HEADER, cli._TENSOR_LABELS
     number = st.one_of(st.sampled_from(_SPECIAL_FLOATS),
                        st.floats(allow_nan=False, allow_infinity=False))
     t_grid = data.draw(st.lists(
@@ -928,10 +981,7 @@ def test_reader_fuzz(valid_files, stem, kind, seed, blanks):
     cfg, files = valid_files
     lines, fault_line, message = _mutate(kind, list(files[stem]),
                                          random.Random(seed), blanks)
-    schema = {"signals": (cli._SIGNAL_HEADER, cli._OMEGA_COLUMN,
-                          "omega_tuple"),
-              "tensors": (cli._TENSOR_HEADER, cli._TENSOR_SLOT,
-                          "n,m,nu,mu")}[stem]
+    schema = _SCHEMAS[stem]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, f"{stem}_gamma2.csv")
         with open(path, "w", newline="", errors="surrogateescape") as fh:
@@ -1005,8 +1055,7 @@ def test_reader_reports_first_fault_in_file_order(valid_files, tmp_path):
         with open(path, "w", newline="") as fh:
             fh.write("\r\n".join([header] + body) + "\r\n")
         with pytest.raises(ValueError) as info:
-            cli._read_rows(path, cli._SIGNAL_HEADER, cli._OMEGA_COLUMN,
-                           "omega_tuple")
+            cli._read_rows(path, cli._SIGNAL_HEADER, cli.OMEGA_LABELS)
         assert f"{path}:{where}" in str(info.value)
         assert first in str(info.value)
 
@@ -1088,8 +1137,8 @@ def _read_or_error(path, schema):
         return str(exc)
 
 
-_SCHEMAS = {"signals": (cli._SIGNAL_HEADER, cli._OMEGA_COLUMN, "omega_tuple"),
-            "tensors": (cli._TENSOR_HEADER, cli._TENSOR_SLOT, "n,m,nu,mu")}
+_SCHEMAS = {"signals": (cli._SIGNAL_HEADER, cli.OMEGA_LABELS),
+            "tensors": (cli._TENSOR_HEADER, cli._TENSOR_LABELS)}
 
 
 @pytest.mark.parametrize("stem", ["signals", "tensors"])
@@ -1191,16 +1240,16 @@ def test_other_layout_leaves_fast_path_within_first_block(valid_files, stem,
     row is parsed."""
     _, files = valid_files
     header, *rows = files[stem]
-    schema_header, slots, _ = _SCHEMAS[stem]
+    schema_header, labels = _SCHEMAS[stem]
     if order == "shuffled":
         random.Random(3).shuffle(rows)
     elif order == "reversed":
         rows.reverse()
     else:
         # the second rows of the first two blocks trade places
-        k = len(slots)
+        k = len(labels)
         rows[1], rows[k + 1] = rows[k + 1], rows[1]
     fh = io.StringIO("".join(line + "\r\n" for line in [header] + rows),
                      newline="")
-    assert cli._read_writer_layout(fh, schema_header, slots) is None
-    assert len(fh.readlines()) >= len(rows) - len(slots)
+    assert cli._read_writer_layout(fh, schema_header, labels) is None
+    assert len(fh.readlines()) >= len(rows) - len(labels)

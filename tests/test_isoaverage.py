@@ -7,8 +7,8 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from dimerqpt import isoaverage, response
-from dimerqpt.bath import (ProcessTensor, build_redfield_generator,
-                           propagator_elements, secular_dynamics)
+from dimerqpt.bath import (build_redfield_generator, propagator_elements,
+                           secular_dynamics)
 from dimerqpt.errors import SingularGeometryError, raise_first_failure
 from dimerqpt.isoaverage import (COND_THRESHOLD, N_PARAMS, SECULAR_SLOTS,
                                  build_m_blocks, geometry_blocks,

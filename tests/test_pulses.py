@@ -7,7 +7,6 @@ from scipy.integrate import quad
 
 from dimerqpt.errors import SingularToolboxError
 from dimerqpt.isoaverage import build_m_blocks, params_to_elements
-from dimerqpt.model import DimerParams, build_exciton_basis
 from dimerqpt.pulses import (PulseToolbox, base_coefficient_matrix,
                              build_c_matrix, kron_solve, pulse_coefficient)
 from dimerqpt.reconstruct import reconstruct_rows

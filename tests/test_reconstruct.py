@@ -190,7 +190,7 @@ def test_reconstruct_report(basis, gen, toolbox):
     table = SignalTable(t_grid=t_grid, values=values)
     report = reconstruct(table, cmat, blocks, reference=truth)
     assert report.max_reference_error() < 1e-11
-    assert report.all_physical()
+    assert report.diagnostics.passed().all()
     assert report.c_condition == pytest.approx(cmat.condition_number)
     assert set(report.m_conditions) == {"ee", "epep", "eep"}
     assert len(report.tensors) == 3
