@@ -345,13 +345,6 @@ def cmd_reconstruct(config: ExperimentConfig):
                       config.t_grid)
     if config.homogeneous_only:
         truth, truth_grounds = (array[0] for array in propagators(nominal))
-    else:
-        # member-wise: every member inverted with its own C and M
-        results = evaluate_ensemble(_members(config), config.bath,
-                                    config.toolbox, config.t_grid,
-                                    config.gamma_list,
-                                    verbatim=config.verbatim_terms,
-                                    want_tensors=True)
     tensor_paths = [os.path.join(config.output_dir,
                                  f"tensors_gamma{gamma_tag(gamma)}.csv")
                     for gamma in config.gamma_list]
@@ -361,9 +354,16 @@ def cmd_reconstruct(config: ExperimentConfig):
     for path in tensor_paths + [report_path]:
         with contextlib.suppress(FileNotFoundError):
             os.remove(path)
+    if not config.homogeneous_only:
+        # member-wise: every member inverted with its own C and M
+        results = evaluate_ensemble(_members(config), config.bath,
+                                    config.toolbox, config.t_grid,
+                                    config.gamma_list,
+                                    verbatim=config.verbatim_terms)
     report_lines = []
     failed = False
-    for gamma, tensor_path in zip(config.gamma_list, tensor_paths):
+    for index, (gamma, tensor_path) in enumerate(zip(config.gamma_list,
+                                                     tensor_paths)):
         tag = gamma_tag(gamma)
         if config.homogeneous_only:
             sig_path, _ = _signal_paths(config, gamma)
@@ -382,7 +382,7 @@ def cmd_reconstruct(config: ExperimentConfig):
                 f"cond(M)={blocks.condition_numbers} "
                 f"max_residual={max_err:.3e}")
         else:
-            result = next(results)
+            result = results[index]
             elements, grounds = result.elements, result.grounds
             report_lines.append(
                 f"gamma={tag}: member-wise ensemble average over "

@@ -5,10 +5,10 @@ a common Gaussian width; coupling, dipoles and quantum yield are shared.
 Each member has its own exciton basis, rates, pulse-coefficient matrix and
 geometry blocks (the mixing angle shifts with the disorder).
 
-``evaluate_ensemble`` computes all of them as arrays over members, ``_CHUNK``
-members at a time.  Once per chunk: the closed-form basis, the 32 isotropic
+``evaluate_ensemble`` computes all of them as arrays over members, one chunk
+at a time.  Once per chunk: the closed-form basis, the 32 isotropic
 dipole factors (``response.iso_dipole_factors``), the secular propagator
-over the waiting-time grid and the 2x2 pulse generator.  Per Gamma: the
+over the waiting-time grid, the 2x2 pulse generator and C.  Per Gamma: the
 geometry map ``table @ (S0 + Gamma dS)`` (with the fixed structure of
 ``isoaverage.pathway_structure``) and its checks, the forward map through
 C = base^(x)4 and, for tensors, ``invert``, the two-stage inverse that a
@@ -37,9 +37,9 @@ from .pulses import (PulseToolbox, base_coefficient_matrix, check_generators,
 from .response import SignalTable, iso_dipole_factors
 from .units import to_angular
 
-# members per array pass: bounds the (members, 16, T) temporaries (one is
-# 7.9 MB at 1024 members and 30 waiting times)
-_CHUNK = 1024
+# members x (waiting times + 32) per chunk: the 32 stands for a member's
+# arrays that do not depend on T (18-20 KB, against 0.6-1.5 KB per T)
+_CHUNK_MEMBER_TIMES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -83,6 +83,7 @@ class Prepared:
     start: int
     table: np.ndarray       # (n, 32) isotropic dipole factors
     base: np.ndarray        # (n, 2, 2) single-pulse coefficients c[w, p]
+    c: np.ndarray           # (n, 16, 16) C = base^(x)4
     cond_base: np.ndarray   # (n,) cond(base); cond(C) is its fourth power
     params: np.ndarray      # (n, 6, T) propagator at SECULAR_SLOTS
 
@@ -105,6 +106,7 @@ def prepare(members, start, bath, toolbox, waiting_times) -> Prepared:
     mu = dipole_vectors(theta, d1, d2, phi)                    # (n, 4, 3)
     table = iso_dipole_factors(mu)
     base = base_coefficient_matrix(energies, toolbox)
+    c = kron_power4(base)
     gap = energies[:, 0] - energies[:, 1]
     k_down, k_up, rate = secular_rates(theta, gap, bath)
     pop, phase = secular_dynamics(k_down, k_up, to_angular(gap), rate,
@@ -119,12 +121,11 @@ def prepare(members, start, bath, toolbox, waiting_times) -> Prepared:
         (not_finite(table), ValueError,
          "isotropic dipole factors are not finite"),
         (not_finite(base), ValueError, "pulse generator is not finite"),
-        (not_finite(kron_power4(base)), ValueError,
-         "C = base^(x)4 is not finite"),
+        (not_finite(c), ValueError, "C = base^(x)4 is not finite"),
         (not_finite(params), ValueError, "propagator is not finite"))
     cond_base = check_generators(base, toolbox, first_member=start)
-    return Prepared(start=start, table=table, base=base, cond_base=cond_base,
-                    params=params)
+    return Prepared(start=start, table=table, base=base, c=c,
+                    cond_base=cond_base, params=params)
 
 
 def _geometry_map(chunk, gamma, structure):
@@ -175,7 +176,7 @@ def _evaluate(chunk, gamma, structure, want_tensors):
     """
     offset, full = _geometry_map(chunk, gamma, structure)
     pathways = full[..., SECULAR_SLOTS] @ chunk.params + offset[..., None]
-    signals = kron_power4(chunk.base) @ pathways
+    signals = chunk.c @ pathways
     raise_first_failure(chunk.start, (
         ~(np.isfinite(full).all(axis=(1, 2))
           & np.isfinite(signals).all(axis=(1, 2))),
@@ -190,14 +191,14 @@ def _evaluate(chunk, gamma, structure, want_tensors):
 def _add_in_order(total, part):
     """``total`` plus the members of ``part`` (n, ...), one after another.
 
-    An axis-0 sum adds the rows in order, and the running total goes first,
-    so the member order carries across chunks.
+    An axis-0 sum adds the rows in order; the running total, added in place
+    to the first member, goes first, so the order carries across chunks.
     """
     if part is None:
         return None
-    if total is None:
-        return part.sum(axis=0)
-    return np.concatenate([total[None], part]).sum(axis=0)
+    if total is not None:
+        part[0] += total
+    return part.sum(axis=0)
 
 
 @dataclass
@@ -224,51 +225,50 @@ class EnsembleResult:
 
 def evaluate_ensemble(members, bath: BathParams, toolbox: PulseToolbox,
                       t_grid, gammas, verbatim=False, want_tensors=True):
-    """Ensemble means at each Gamma of ``gammas``, one EnsembleResult at a
-    time.
+    """Ensemble means at each Gamma of ``gammas``, a list of EnsembleResult.
 
     An entry of ``gammas`` is one Gamma for every member or a sequence of
-    one per member.  The Gamma-independent arrays are made once, ``_CHUNK``
-    members at a time; each Gamma then runs over the chunks and sums the
-    members in order.  A member that fails a check (degenerate dimer,
-    singular pulse generator, leaking or singular geometry map) raises the
-    error with its index in ``members``.
+    one per member.  Each chunk of members is prepared, evaluated at every
+    Gamma, added to that Gamma's running totals in member order and dropped.
+    A member that fails a check (degenerate dimer, singular pulse generator,
+    leaking or singular geometry map) raises the error with its index in
+    ``members``: the first failure in chunk order, then in Gamma order.
     """
     if not members:
         raise ValueError("members must be nonempty")
     t_grid = np.asarray(t_grid, dtype=float)
     structure = pathway_structure(verbatim)
-    chunks = [prepare(members[start:start + _CHUNK], start, bath, toolbox,
-                      t_grid)
-              for start in range(0, len(members), _CHUNK)]
     count = len(members)
-    for gamma in gammas:
-        gamma = np.broadcast_to(np.asarray(gamma, dtype=float), (count,))
-        totals = [None] * 4
-        # overflow is checked for, not warned about: _evaluate rejects a
-        # member whose signals are not finite, and a mean that overflows is
-        # left to the CSV writer, which refuses numbers that are not finite
-        with np.errstate(over="ignore", invalid="ignore"):
-            for chunk in chunks:
-                stop = chunk.start + len(chunk.table)
-                parts = _evaluate(chunk, gamma[chunk.start:stop], structure,
-                                  want_tensors)
-                totals = [_add_in_order(total, part)
-                          for total, part in zip(totals, parts)]
-            sig, pw, el, gr = (None if total is None else total / count
-                               for total in totals)
-        yield EnsembleResult(
-            signal_table=SignalTable(t_grid=t_grid, values=sig.T),
-            pathway_means=pw.T, elements=el, grounds=gr, n_members=count)
+    gammas = [np.broadcast_to(np.asarray(g, float), (count,)) for g in gammas]
+    step = max(1, _CHUNK_MEMBER_TIMES // (len(t_grid) + 32))
+    totals = [[None] * 4 for _ in gammas]
+    # overflow is checked for, not warned about: _evaluate rejects a member
+    # whose signals are not finite, and a mean that overflows is left to the
+    # CSV writer, which refuses numbers that are not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, count, step):
+            chunk = prepare(members[start:start + step], start, bath,
+                            toolbox, t_grid)
+            for gamma, sums in zip(gammas, totals):
+                sums[:] = [_add_in_order(total, part) for total, part in zip(
+                    sums, _evaluate(chunk, gamma[start:start + step],
+                                    structure, want_tensors))]
+            # dropped before the next chunk is prepared
+            del chunk
+        # in place: a second copy of the totals would raise peak memory
+        for total in (t for sums in totals for t in sums if t is not None):
+            total /= count
+    return [EnsembleResult(SignalTable(t_grid, sig.T), pw.T, el, gr, count)
+            for sig, pw, el, gr in totals]
 
 
 def run_ensemble(members, bath: BathParams, toolbox: PulseToolbox, t_grid,
                  verbatim=False, want_tensors=True) -> EnsembleResult:
     """Ensemble means with each member at its own quantum_yield_gamma."""
-    return next(evaluate_ensemble(
+    return evaluate_ensemble(
         members, bath, toolbox, t_grid,
         [[m.quantum_yield_gamma for m in members]], verbatim=verbatim,
-        want_tensors=want_tensors))
+        want_tensors=want_tensors)[0]
 
 
 def synthesize_signal_table(dimer: DimerParams, bath: BathParams,

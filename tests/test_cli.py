@@ -208,8 +208,8 @@ def test_manifest_versions_without_importing_scipy(config_path,
 def test_simulate_failing_at_a_later_gamma_leaves_no_files(tmp_path,
                                                           monkeypatch,
                                                           capsys):
-    """A geometry that is singular at Gamma = 1 only: simulate writes the
-    Gamma = 0 files, then fails, and removes what it wrote."""
+    """A geometry that is singular at Gamma = 1 only: simulate fails in the
+    engine, which runs every Gamma before any file is written."""
     cfg = replace(default_config(output_dir="."), homogeneous_only=True,
                   dimer=replace(default_config().dimer,
                                 dipole_ratio_d2_over_d1=1.0,
@@ -222,6 +222,63 @@ def test_simulate_failing_at_a_later_gamma_leaves_no_files(tmp_path,
         "error: member 0: geometry block ee is singular for this dipole "
         "geometry\n")
     assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_simulate_failing_to_write_a_later_gamma_leaves_no_files(
+        tmp_path, monkeypatch, capsys):
+    """The Gamma = 2 signal file cannot be written, as its path is a
+    directory: simulate exits 3 and removes the Gamma = 0 files it wrote."""
+    cfg = replace(default_config(output_dir="out"), homogeneous_only=True,
+                  gamma_list=(0.0, 2.0), t_grid=(120.0, 300.0))
+    save_config(cfg, tmp_path / "cfg.json")
+    monkeypatch.chdir(tmp_path)
+    os.makedirs(os.path.join("out", "signals_gamma2.csv"))
+    assert main(["simulate", "--config", "cfg.json"]) == 3
+    assert capsys.readouterr().err == (
+        "error: [Errno 21] Is a directory: 'out/signals_gamma2.csv'\n")
+    assert os.listdir("out") == ["signals_gamma2.csv"]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak RSS from /proc/self/status")
+@pytest.mark.parametrize("sizes", [
+    # one full chunk (204 members x (128 + 32)), then ten times the grid
+    ((204, 128), (204, 1280)),
+    # one waiting time: 2048 then four times the members, which would each
+    # be one chunk if the budget left out the arrays that do not depend on T
+    ((2048, 1), (8192, 1)),
+])
+def test_simulate_memory_does_not_grow_with_the_input(tmp_path, sizes):
+    """Chunks are sized by members x (waiting times + 32), so peak RSS at
+    the larger (members, waiting times) stays within 12 MiB of the
+    smaller's: one chunk-sized temporary (8 MiB) that the allocator keeps
+    after a chunk is dropped, and room for the means and outputs, which do
+    grow with T.  Without chunks the larger run needs 100 MiB or more above
+    the smaller.
+
+    Each run is a fresh interpreter that reports its own VmHWM, the peak
+    RSS of its address space since exec.  Its ru_maxrss would not do: it
+    keeps the parent's RSS at fork, so under a large test process both
+    runs read the parent's peak."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = ("import sys; from dimerqpt.cli import main; "
+             "assert main(['simulate', '--config', sys.argv[1]]) == 0; "
+             "print(next(line.split()[1] for line in open('/proc/self/status')"
+             " if line.startswith('VmHWM:')))")
+    env = dict(os.environ, PYTHONPATH=src)
+    peaks = []
+    for name, (members, count) in zip(("small", "large"), sizes):
+        cfg = replace(default_config(output_dir=str(tmp_path / name)),
+                      ensemble=EnsembleSpec(n_members=members,
+                                            sigma_inh=40.0),
+                      t_grid=tuple(120.0 + 0.5 * k for k in range(count)),
+                      gamma_list=(0.0, 2.0))
+        path = str(tmp_path / f"{name}.json")
+        save_config(cfg, path)
+        out = subprocess.run([sys.executable, "-c", probe, path], env=env,
+                             capture_output=True, text=True, check=True)
+        peaks.append(int(out.stdout) / 1024)
+    assert peaks[1] <= peaks[0] + 12, peaks
 
 
 def test_simulate_reconstruct_validate_flow(config_path, small_config):

@@ -210,7 +210,8 @@ def test_member_arrays_independent_of_batch(dimer, bath, toolbox, verbatim,
 
     whole = run_ensemble(members, bath, toolbox, T_GRID, verbatim=verbatim)
     # chunks of 3, 3 and 3 members: the running sums cross two boundaries
-    monkeypatch.setattr(ensemble, "_CHUNK", 3)
+    monkeypatch.setattr(ensemble, "_CHUNK_MEMBER_TIMES",
+                        3 * (len(T_GRID) + 32))
     chunked = run_ensemble(members, bath, toolbox, T_GRID, verbatim=verbatim)
     sums = None
     for member in members:
@@ -237,9 +238,36 @@ def test_singular_member_is_named(dimer, bath, toolbox, chunk, monkeypatch):
                                                  seed=2))
     members[3] = ortho
     members = [replace(m, quantum_yield_gamma=1.0) for m in members]
-    monkeypatch.setattr(ensemble, "_CHUNK", chunk)
+    monkeypatch.setattr(ensemble, "_CHUNK_MEMBER_TIMES",
+                        chunk * (len(T_GRID) + 32))
     with pytest.raises(SingularGeometryError, match=r"^member 3: geometry"):
         run_ensemble(members, bath, toolbox, T_GRID, want_tensors=False)
+
+
+def test_failures_surface_chunk_by_chunk(dimer, bath, toolbox, monkeypatch):
+    """Each chunk is prepared and run at every Gamma before the next chunk
+    is prepared, so the first failure in chunk order is named.  With chunks
+    of 3 members and Gamma (0, 1), member 1 (singular at Gamma = 1 only)
+    fails in the first chunk, before member 4, whose dipole factors
+    overflow, is prepared in the second."""
+    ortho = replace(dimer, dipole_ratio_d2_over_d1=1.0,
+                    dipole_angle_phi=math.pi / 2)
+    members = [dimer, ortho, dimer, dimer, replace(dimer, dipole_d1=1e200),
+               dimer]
+    monkeypatch.setattr(ensemble, "_CHUNK_MEMBER_TIMES",
+                        3 * (len(T_GRID) + 32))
+    with pytest.raises(SingularGeometryError,
+                       match=r"^member 1: geometry block ee is singular"):
+        evaluate_ensemble(members, bath, toolbox, T_GRID, (0.0, 1.0),
+                          want_tensors=False)
+
+
+def test_empty_grid_gives_empty_means(dimer, bath, toolbox):
+    result = run_ensemble([dimer, dimer], bath, toolbox, [])
+    assert result.signal_table.values.shape == (0, 16)
+    assert result.pathway_means.shape == (0, 16)
+    assert result.elements.shape == (0, 2, 2, 2, 2)
+    assert result.grounds.shape == (0, 2, 2)
 
 
 @pytest.mark.parametrize("start", [0, 10])
