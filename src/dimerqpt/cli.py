@@ -11,7 +11,6 @@ import contextlib
 import csv
 from dataclasses import replace
 from itertools import chain, islice, product
-import json
 import math
 import os
 import sys
@@ -21,7 +20,7 @@ import numpy as np
 
 import dimerqpt
 from .config import (ExperimentConfig, config_to_dict, default_config,
-                     gamma_tag, load_config, read_json)
+                     gamma_tag, load_config, read_json, write_json)
 from .ensemble import (evaluate_ensemble, invert, prepare, propagators,
                        sample_members)
 from .errors import ConfigError, DimerQptError, InputFileError
@@ -51,21 +50,11 @@ _TENSOR_LABELS = [",".join(key) for key in chain(
 _DECODE_ERRORS = "surrogateescape"
 
 
-def _write_manifest(config, outdir):
-    manifest = {
-        "config": config_to_dict(config),
-        "versions": {"dimerqpt": dimerqpt.__version__,
-                     "numpy": np.__version__},
-    }
-    with open(os.path.join(outdir, _MANIFEST), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _signal_paths(config, gamma):
-    tag = gamma_tag(gamma)
-    return (os.path.join(config.output_dir, f"signals_gamma{tag}.csv"),
-            os.path.join(config.output_dir, f"pathways_gamma{tag}.csv"))
+def _output(config, stem, gamma):
+    """Path of the ``stem`` CSV of ``gamma``: ``<stem>_gamma<tag>.csv`` in
+    the output directory."""
+    return os.path.join(config.output_dir,
+                        f"{stem}_gamma{gamma_tag(gamma)}.csv")
 
 
 def _apply_noise(values, noise, seed, index):
@@ -101,20 +90,24 @@ def cmd_simulate(config: ExperimentConfig):
             if config.noise:
                 signals = _apply_noise(signals, config.noise,
                                        config.ensemble.seed, gidx)
-            sig_path, path_path = _signal_paths(config, gamma)
-            written.append(sig_path)
-            _write_rows(sig_path, _SIGNAL_HEADER, config.t_grid,
+            written.append(_output(config, "signals", gamma))
+            _write_rows(written[-1], _SIGNAL_HEADER, config.t_grid,
                         OMEGA_LABELS, signals)
-            written.append(path_path)
-            _write_rows(path_path, _PATHWAY_HEADER, config.t_grid,
+            written.append(_output(config, "pathways", gamma))
+            _write_rows(written[-1], _PATHWAY_HEADER, config.t_grid,
                         PATHWAY_LABELS, result.pathway_means)
+        written.append(os.path.join(config.output_dir, _MANIFEST))
+        write_json(written[-1], {
+            "config": config_to_dict(config),
+            "versions": {"dimerqpt": dimerqpt.__version__,
+                         "numpy": np.__version__}})
     except BaseException:
-        # a run that stops at a later Gamma leaves none of its files
+        # a run that stops part-way, at a later Gamma or at the manifest,
+        # leaves none of its files
         for path in written:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(path)
         raise
-    _write_manifest(config, config.output_dir)
     return EXIT_OK
 
 
@@ -345,8 +338,7 @@ def cmd_reconstruct(config: ExperimentConfig):
                       config.t_grid)
     if config.homogeneous_only:
         truth, truth_grounds = (array[0] for array in propagators(nominal))
-    tensor_paths = [os.path.join(config.output_dir,
-                                 f"tensors_gamma{gamma_tag(gamma)}.csv")
+    tensor_paths = [_output(config, "tensors", gamma)
                     for gamma in config.gamma_list]
     report_path = os.path.join(config.output_dir, "reconstruction_report.txt")
     # a run that stops part-way must not leave an earlier run's outputs
@@ -366,7 +358,7 @@ def cmd_reconstruct(config: ExperimentConfig):
                                                      tensor_paths)):
         tag = gamma_tag(gamma)
         if config.homogeneous_only:
-            sig_path, _ = _signal_paths(config, gamma)
+            sig_path = _output(config, "signals", gamma)
             table = _read_signal_table(sig_path, config)
             with np.errstate(over="ignore", invalid="ignore"):
                 blocks, (elements,), (grounds,) = invert(

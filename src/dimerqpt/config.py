@@ -180,11 +180,17 @@ def read_json(path, error):
             raise error(f"{path}: invalid JSON ({exc})") from exc
 
 
+def write_json(path, value):
+    """Write ``value`` to ``path`` as JSON: keys sorted, two-space indent
+    and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(value, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def load_config(path) -> ExperimentConfig:
     return config_from_dict(read_json(path, ConfigError))
 
 
 def save_config(config: ExperimentConfig, path):
-    with open(path, "w") as fh:
-        json.dump(config_to_dict(config), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, config_to_dict(config))

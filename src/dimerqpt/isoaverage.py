@@ -17,9 +17,13 @@ import functools
 
 import numpy as np
 
+# iso_pathway_vector is read through its module at call time, so that a
+# replacement of response.iso_pathway_vector reaches the probe passes here
+from . import response
 from .bath import ProcessTensor, closure_ground_row
 from .errors import SingularGeometryError, raise_first_failure
 from .model import E, EP, ExcitonBasis
+from .response import DIPOLE_TUPLES, pathway_index
 
 #: largest condition number a geometry block may have and still be inverted
 COND_THRESHOLD = 1e12
@@ -124,11 +128,6 @@ _PROBE_TENSOR = ProcessTensor(
     ground_row=np.moveaxis(closure_ground_row(_PROBE_ELEMENTS), 0, -1))
 
 
-# canonical position of (p, q, r, s) in the 16-component pathway vector
-def pathway_index(p, q, r, s):
-    return ((p * 2 + q) * 2 + r) * 2 + s
-
-
 # rows of each geometry block within the canonical pathway vector; the mixed
 # block lists the (p,q) = (ep,e) experiments before the (e,ep) ones
 _ROWS_EE = [pathway_index(E, E, r, s) for r in (E, EP) for s in (E, EP)]
@@ -226,10 +225,8 @@ def build_m_blocks(basis: ExcitonBasis, gamma: float,
     engine's map ``table @ (S0 + Gamma dS)`` instead; this probe pass is
     the independent oracle the tests hold it to.
     """
-    from .response import iso_pathway_vector
-
-    vectors = iso_pathway_vector(basis, gamma, _PROBE_TENSOR,
-                                 verbatim=verbatim)  # (16, 17)
+    vectors = response.iso_pathway_vector(
+        basis, gamma, _PROBE_TENSOR, verbatim=verbatim)  # (16, 17)
     # The hole term and the ground-row closure constant cancel, so the
     # averaged pathway vector is strictly linear in the parameters; the
     # offset at zero parameters is subtracted anyway as a guard.
@@ -252,9 +249,7 @@ def pathway_structure(verbatim: bool):
     pattern is checked here, once for every dipole geometry: the map of each
     row must vanish outside the blocks (RuntimeError).
     """
-    from .response import DIPOLE_TUPLES, iso_pathway_vector
-
-    at = [np.array([iso_pathway_vector(
+    at = [np.array([response.iso_pathway_vector(
         None, gamma, _PROBE_TENSOR, verbatim=verbatim,
         table={labels: float(labels == one) for labels in DIPOLE_TUPLES})
         for one in DIPOLE_TUPLES]) for gamma in (0.0, 1.0)]

@@ -129,19 +129,19 @@ class CMatrix:
 
     entries: np.ndarray
     base_2x2: np.ndarray
+    # cond(base_2x2) from check_generators; cond(C) is its fourth power
+    base_condition_number: float
 
     @property
     def condition_number(self):
+        """cond(C) from an SVD of the full 16x16 matrix."""
         return float(np.linalg.cond(self.entries))
-
-    @property
-    def base_condition_number(self):
-        return float(np.linalg.cond(self.base_2x2))
 
 
 def build_c_matrix(basis: ExcitonBasis, toolbox: PulseToolbox) -> CMatrix:
     """Kronecker-assemble the 16x16 matrix and reject unusable toolboxes."""
     base = base_coefficient_matrix([basis.energy_e, basis.energy_ep],
                                    toolbox)
-    check_generators(base, toolbox)
-    return CMatrix(entries=kron_power4(base), base_2x2=base)
+    cond = check_generators(base, toolbox)
+    return CMatrix(entries=kron_power4(base), base_2x2=base,
+                   base_condition_number=float(cond))

@@ -27,7 +27,6 @@ class TensorDiagnostics:
     hermiticity_defect: float
     trace_defect: float
     min_choi_eig: float
-    choi_hermiticity_defect: float
 
     def passed(self, herm_tol=1e-10, trace_tol=1e-10, choi_tol=1e-8):
         return ((self.hermiticity_defect <= herm_tol)
@@ -53,12 +52,9 @@ def validate_tensors(elements, grounds) -> TensorDiagnostics:
                    - np.eye(2))
     finite = (np.isfinite(elements).reshape(n, -1).all(axis=1)
               & np.isfinite(grounds).reshape(n, -1).all(axis=1))
-    choi_herm = np.zeros(n)
     min_eig = np.zeros(n)
     for block in (grounds, elements.transpose(0, 3, 1, 4, 2).reshape(n, 4, 4)):
         block_h = block.conj().transpose(0, 2, 1)
-        choi_herm = np.maximum(choi_herm,
-                               np.max(np.abs(block - block_h), axis=(1, 2)))
         # halves first: the sum of two finite halves cannot overflow
         eig = np.linalg.eigvalsh(0.5 * block[finite] + 0.5 * block_h[finite])
         min_eig[finite] = np.minimum(min_eig[finite], eig.min(axis=1))
@@ -66,7 +62,7 @@ def validate_tensors(elements, grounds) -> TensorDiagnostics:
     return TensorDiagnostics(
         hermiticity_defect=herm.reshape(n, -1).max(axis=1),
         trace_defect=trace.reshape(n, -1).max(axis=1),
-        min_choi_eig=min_eig, choi_hermiticity_defect=choi_herm)
+        min_choi_eig=min_eig)
 
 
 def validate_tensor(tensor: ProcessTensor) -> TensorDiagnostics:
@@ -155,6 +151,6 @@ def reconstruct(signal_table, cmatrix: CMatrix, mblocks: MBlocks,
         pathway_residuals=residuals,
         diagnostics=diagnostics,
         reference_errors=errors,
-        c_condition=cmatrix.condition_number,
+        c_condition=cmatrix.base_condition_number ** 4,
         m_conditions=mblocks.condition_numbers,
     )

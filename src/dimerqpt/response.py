@@ -18,7 +18,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .bath import ProcessTensor
-from .isoaverage import pathway_index
 from .model import DIPOLE_LABELS, E, EP, EXCITON_LABELS, ExcitonBasis
 
 _GL = ("eg", "epg")            # ground -> exciton dipole label per index
@@ -29,6 +28,12 @@ _FC = ("fep", "fe")            # f-manifold dipole appearing in channel r
 PATHWAY_ORDER = [(p, q, r, s)
                  for p in (E, EP) for q in (E, EP)
                  for r in (E, EP) for s in (E, EP)]
+
+
+def pathway_index(p, q, r, s):
+    """Position of (p, q, r, s) in PATHWAY_ORDER."""
+    return ((p * 2 + q) * 2 + r) * 2 + s
+
 
 PATHWAY_LABELS = ["{}.{}.{}.{}".format(*(EXCITON_LABELS[i] for i in pqrs))
                   for pqrs in PATHWAY_ORDER]
@@ -126,8 +131,8 @@ def iso_pathway_vector(basis: ExcitonBasis, gamma, tensor: ProcessTensor,
     if table is None:
         table = projection_table(basis)
     out = np.zeros((16,) + tensor.elements.shape[4:], dtype=complex)
-    for (p, q, r, s) in PATHWAY_ORDER:
-        out[pathway_index(p, q, r, s)] = sum(
+    for k, (p, q, r, s) in enumerate(PATHWAY_ORDER):
+        out[k] = sum(
             detection_weight(term.kind, gamma)
             * (term.sign * table[term.dipoles] * _chi_value(term, p, q, tensor))
             for term in pathway_terms(p, q, r, s, verbatim))

@@ -224,19 +224,22 @@ def test_simulate_failing_at_a_later_gamma_leaves_no_files(tmp_path,
     assert os.listdir(tmp_path) == ["cfg.json"]
 
 
+@pytest.mark.parametrize("blocked", ["signals_gamma2.csv",
+                                     "run_manifest.json"])
 def test_simulate_failing_to_write_a_later_gamma_leaves_no_files(
-        tmp_path, monkeypatch, capsys):
-    """The Gamma = 2 signal file cannot be written, as its path is a
-    directory: simulate exits 3 and removes the Gamma = 0 files it wrote."""
+        tmp_path, monkeypatch, capsys, blocked):
+    """The Gamma = 2 signal file, or the manifest written after every
+    Gamma's files, cannot be written, as its path is a directory: simulate
+    exits 3 and removes the files it wrote."""
     cfg = replace(default_config(output_dir="out"), homogeneous_only=True,
                   gamma_list=(0.0, 2.0), t_grid=(120.0, 300.0))
     save_config(cfg, tmp_path / "cfg.json")
     monkeypatch.chdir(tmp_path)
-    os.makedirs(os.path.join("out", "signals_gamma2.csv"))
+    os.makedirs(os.path.join("out", blocked))
     assert main(["simulate", "--config", "cfg.json"]) == 3
     assert capsys.readouterr().err == (
-        "error: [Errno 21] Is a directory: 'out/signals_gamma2.csv'\n")
-    assert os.listdir("out") == ["signals_gamma2.csv"]
+        f"error: [Errno 21] Is a directory: 'out/{blocked}'\n")
+    assert os.listdir("out") == [blocked]
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),

@@ -1,6 +1,7 @@
-"""The package as documented: the README's library example and the version
-that pyproject.toml declares."""
+"""The package as documented: the README's library example, the version
+that pyproject.toml declares and an import graph without cycles."""
 
+import ast
 import os
 import re
 
@@ -32,3 +33,50 @@ def test_pyproject_version_is_the_package_version():
     project = _read("pyproject.toml").split("[project]\n", 1)[1]
     version = re.search(r'^version = "([^"]*)"$', project, re.M).group(1)
     assert version == dimerqpt.__version__
+
+
+def _package_imports(tree, modules):
+    """(import node, {module imported}) of each import of the package in
+    ``tree``: relative imports and absolute ``dimerqpt`` ones.  A name
+    imported from the package itself is its module if it has one, else the
+    package's ``__init__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                yield node, {node.module.split(".")[0]}
+            else:
+                yield node, {alias.name if alias.name in modules
+                             else "__init__" for alias in node.names}
+        elif isinstance(node, ast.Import):
+            names = [alias.name.split(".") for alias in node.names]
+            if any(name[0] == "dimerqpt" for name in names):
+                yield node, {name[1] if len(name) > 1 else "__init__"
+                             for name in names if name[0] == "dimerqpt"}
+
+
+def test_package_imports_are_module_level_and_acyclic():
+    """Every import of a package module sits at module level, and the
+    modules import one another without a cycle: none relies on a
+    function-local import to break one."""
+    src = os.path.dirname(dimerqpt.__file__)
+    modules = {name[:-3] for name in os.listdir(src) if name.endswith(".py")}
+    graph = {}
+    for module in modules:
+        with open(os.path.join(src, module + ".py"), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        graph[module] = set()
+        for node, imported in _package_imports(tree, modules):
+            assert node in tree.body, (
+                f"{module}.py:{node.lineno}: import of the package inside "
+                "a function or block")
+            graph[module] |= imported
+    assert set().union(*graph.values()) <= modules
+    # peel off modules that import nothing left in the graph; a cycle stays
+    while True:
+        leaves = {module for module, deps in graph.items()
+                  if not deps & graph.keys()}
+        if not leaves:
+            break
+        for module in leaves:
+            del graph[module]
+    assert not graph, f"an import cycle under {sorted(graph)}"
