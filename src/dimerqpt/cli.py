@@ -21,8 +21,7 @@ import numpy as np
 import dimerqpt
 from .config import (ExperimentConfig, config_to_dict, default_config,
                      gamma_tag, load_config, read_json, write_json)
-from .ensemble import (evaluate_ensemble, invert, prepare, propagators,
-                       sample_members)
+from .ensemble import Members, evaluate_ensemble, invert, prepare, propagators
 from .errors import ConfigError, DimerQptError, InputFileError
 from .model import EXCITON_LABELS
 from .reconstruct import validate_tensors
@@ -72,7 +71,7 @@ def _apply_noise(values, noise, seed, index):
 def _members(config):
     if config.homogeneous_only:
         return [config.dimer]
-    return sample_members(config.dimer, config.ensemble)
+    return Members(config.dimer, config.ensemble)
 
 
 def cmd_simulate(config: ExperimentConfig):
@@ -435,7 +434,7 @@ def _load_or_default(args):
     else:
         config = default_config()
     overrides = {}
-    if getattr(args, "output_dir", None):
+    if getattr(args, "output_dir", None) is not None:
         overrides["output_dir"] = args.output_dir
     if getattr(args, "homogeneous", False):
         overrides["homogeneous_only"] = True

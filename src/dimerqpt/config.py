@@ -66,8 +66,9 @@ class ExperimentConfig:
         for k, g in enumerate(self.gamma_list):
             _require_finite(f"gamma_list[{k}]", g)
         object.__setattr__(self, "t_grid", grid)
+        # + 0.0 turns -0.0 into 0.0, which names the same files
         object.__setattr__(self, "gamma_list",
-                           tuple(float(g) for g in self.gamma_list))
+                           tuple(float(g) + 0.0 for g in self.gamma_list))
         if len(grid) == 0:
             raise ConfigError("t_grid: must contain at least one waiting time")
         floor = 3.0 * self.toolbox.pulse_width_sigma
@@ -90,6 +91,8 @@ class ExperimentConfig:
                     f" and {k} ({g!r}) share the file tag gamma{tags[k]}")
         if self.noise is not None and self.noise < 0:
             raise ConfigError("noise: relative width must be >= 0")
+        if self.output_dir == "":
+            raise ConfigError("output_dir: must name a directory, got ''")
 
 
 def default_config(output_dir="out") -> ExperimentConfig:

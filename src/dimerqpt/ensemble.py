@@ -21,7 +21,9 @@ Ensemble reconstruction averages member-wise reconstructed tensors, a convex
 mixture of physical maps.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
+import sys
 
 import numpy as np
 
@@ -51,29 +53,41 @@ class EnsembleSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_members < 1:
-            raise ValueError("n_members must be >= 1")
+        if not 1 <= self.n_members <= sys.maxsize:
+            raise ValueError(f"n_members must lie in [1, {sys.maxsize}], "
+                             f"got {self.n_members}")
         if self.sigma_inh < 0:
             raise ValueError("sigma_inh must be >= 0")
 
 
-def sample_members(base: DimerParams, spec: EnsembleSpec):
-    """Draw the disordered site energies for every member.
+class Members(Sequence):
+    """The disordered members of ``spec`` around ``base``, each drawn when
+    it is read; a slice is a list of members.
 
-    Member i draws from a generator spawned at a member-indexed key of the
-    seed, so the sequence does not depend on evaluation or iteration order.
+    Member i draws its two site energies from a generator spawned at a
+    member-indexed key of the seed, so a member does not depend on which
+    members are read, or in what order.
     """
-    members = []
-    for i in range(spec.n_members):
-        if spec.sigma_inh == 0.0:
-            members.append(base)
-            continue
-        rng = np.random.default_rng(
-            np.random.SeedSequence(spec.seed, spawn_key=(i,)))
-        w1 = rng.normal(base.site_energy_1, spec.sigma_inh)
-        w2 = rng.normal(base.site_energy_2, spec.sigma_inh)
-        members.append(replace(base, site_energy_1=w1, site_energy_2=w2))
-    return members
+
+    def __init__(self, base: DimerParams, spec: EnsembleSpec):
+        self.base, self.spec = base, spec
+
+    def __len__(self):
+        return self.spec.n_members
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        rng = np.random.default_rng(np.random.SeedSequence(
+            self.spec.seed, spawn_key=(range(len(self))[index],)))
+        w1 = rng.normal(self.base.site_energy_1, self.spec.sigma_inh)
+        w2 = rng.normal(self.base.site_energy_2, self.spec.sigma_inh)
+        return replace(self.base, site_energy_1=w1, site_energy_2=w2)
+
+
+def sample_members(base: DimerParams, spec: EnsembleSpec):
+    """Every member of ``Members(base, spec)``, as a list."""
+    return list(Members(base, spec))
 
 
 @dataclass(frozen=True)

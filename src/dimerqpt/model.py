@@ -62,8 +62,6 @@ class ExcitonBasis:
     """
 
     mixing_angle_theta: float
-    average_freq: float
-    half_difference_delta: float
     energy_e: float
     energy_ep: float
     energy_f: float
@@ -135,8 +133,6 @@ def build_exciton_basis(dimer: DimerParams) -> ExcitonBasis:
     raise_first_failure(None, *basis_checks(delta, dimer.coupling_j, mu_eg))
     return ExcitonBasis(
         mixing_angle_theta=theta,
-        average_freq=avg,
-        half_difference_delta=delta,
         energy_e=avg + split,
         energy_ep=avg - split,
         energy_f=dimer.site_energy_1 + dimer.site_energy_2,

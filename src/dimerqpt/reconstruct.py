@@ -109,7 +109,6 @@ def reconstruct_single(signal_row, cmatrix: CMatrix, mblocks: MBlocks,
 class ReconstructionReport:
     """Reconstructed tensors over a waiting-time grid with diagnostics."""
 
-    waiting_times: np.ndarray
     tensors: list
     pathway_residuals: np.ndarray
     diagnostics: TensorDiagnostics
@@ -146,7 +145,6 @@ def reconstruct(signal_table, cmatrix: CMatrix, mblocks: MBlocks,
         errors = np.array([tensor_distance(t, r)
                            for t, r in zip(tensors, reference)])
     return ReconstructionReport(
-        waiting_times=np.asarray(signal_table.t_grid, dtype=float),
         tensors=tensors,
         pathway_residuals=residuals,
         diagnostics=diagnostics,

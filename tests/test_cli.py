@@ -133,6 +133,7 @@ def test_non_finite_config_number_rejected(tmp_path, capsys, key, value):
     ("gamma_list", 2, "gamma_list"),
     ("gamma_list", ["x"], "gamma_list[0]"),
     ("output_dir", 5, "output_dir"),
+    ("output_dir", "", "output_dir"),
     ("verbatim_terms", "false", "verbatim_terms"),
     ("homogeneous_only", 1, "homogeneous_only"),
     ("ensemble.n_members", 2.5, "ensemble.n_members"),
@@ -164,7 +165,9 @@ def test_malformed_config_value_rejected(tmp_path, capsys, monkeypatch, key,
 
 @pytest.mark.parametrize("gammas, shown, tag", [
     ([1.0, 1.0000001], ("0 (1.0)", "1 (1.0000001)"), "gamma1"),
-    ([0.5, 2, 2], ("1 (2.0)", "2 (2.0)"), "gamma2")])
+    ([0.5, 2, 2], ("1 (2.0)", "2 (2.0)"), "gamma2"),
+    # -0.0 is read as 0.0: its files would be named gamma-0
+    ([0.0, -0.0], ("0 (0.0)", "1 (0.0)"), "gamma0")])
 @pytest.mark.parametrize("command", ["simulate", "reconstruct"])
 def test_gamma_values_sharing_a_file_tag_rejected(tmp_path, capsys,
                                                    monkeypatch, gammas, shown,
@@ -183,6 +186,53 @@ def test_gamma_values_sharing_a_file_tag_rejected(tmp_path, capsys,
     assert err == (f"configuration error: gamma_list: entries {shown[0]} and "
                    f"{shown[1]} share the file tag {tag}\n")
     assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_negative_zero_gamma_is_zero(tmp_path, monkeypatch):
+    """A lone Gamma of -0.0 is 0.0: its files are ``*_gamma0.csv`` and the
+    manifest records 0.0."""
+    data = config_to_dict(default_config(output_dir="out"))
+    data["homogeneous_only"] = True
+    data["t_grid"] = [120.0, 200.0]
+    data["gamma_list"] = [-0.0]
+    (tmp_path / "cfg.json").write_text(json.dumps(data))
+    monkeypatch.chdir(tmp_path)
+    (gamma,) = load_config("cfg.json").gamma_list
+    assert math.copysign(1.0, gamma) == 1.0
+    assert main(["simulate", "--config", "cfg.json"]) == 0
+    assert sorted(os.listdir("out")) == [
+        "pathways_gamma0.csv", "run_manifest.json", "signals_gamma0.csv"]
+    with open(os.path.join("out", "run_manifest.json")) as fh:
+        (recorded,) = json.load(fh)["config"]["gamma_list"]
+    assert math.copysign(1.0, recorded) == 1.0
+
+
+@pytest.mark.parametrize("command", ["simulate", "reconstruct"])
+def test_empty_output_dir_flag_rejected(config_path, small_config, tmp_path,
+                                        monkeypatch, capsys, command):
+    """``--output-dir ''`` overrides the configuration's directory, as any
+    other value does, and exits 2: an empty name is no directory."""
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--homogeneous", "--config", config_path,
+                 "--output-dir", ""]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: output_dir: must name a directory, got ''\n")
+    assert not os.path.exists(small_config.output_dir)
+
+
+def test_ensemble_size_bounded_by_what_len_holds(tmp_path):
+    """n_members above sys.maxsize, which len() cannot return, is refused
+    when the configuration is loaded; sys.maxsize itself loads."""
+    data = config_to_dict(default_config())
+    path = tmp_path / "cfg.json"
+    data["ensemble"]["n_members"] = sys.maxsize
+    path.write_text(json.dumps(data))
+    assert load_config(path).ensemble.n_members == sys.maxsize
+    data["ensemble"]["n_members"] = sys.maxsize + 1
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError, match=r"^ensemble: n_members must lie "
+                                          rf"in \[1, {sys.maxsize}\]"):
+        load_config(path)
 
 
 def test_manifest_versions_without_importing_scipy(config_path,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -58,6 +59,58 @@ def test_sampling_deterministic(dimer):
     c = sample_members(dimer, EnsembleSpec(n_members=50, sigma_inh=40.0,
                                            seed=100))
     assert a != c
+
+
+@pytest.mark.parametrize("sigma", [0.0, 40.0])
+def test_members_are_the_sampled_list(dimer, sigma):
+    """Member i of ``Members`` is entry i of ``sample_members``, the draw of
+    the generator spawned at key (i,) of the seed, at any index or slice."""
+    spec = EnsembleSpec(n_members=7, sigma_inh=sigma, seed=13)
+    members = ensemble.Members(dimer, spec)
+    listed = sample_members(dimer, spec)
+    assert len(members) == len(listed) == 7
+    for i, member in enumerate(listed):
+        rng = np.random.default_rng(np.random.SeedSequence(13,
+                                                           spawn_key=(i,)))
+        assert member == replace(
+            dimer, site_energy_1=rng.normal(dimer.site_energy_1, sigma),
+            site_energy_2=rng.normal(dimer.site_energy_2, sigma))
+        assert members[i] == member
+    assert members[-1] == listed[-1] and members[-7] == listed[0]
+    assert members[1:6:2] == listed[1:6:2]
+    assert members[::-3] == listed[::-3]
+    assert members[5:50] == listed[5:]
+    for index in (7, -8):
+        with pytest.raises(IndexError):
+            members[index]
+
+
+def test_cli_draws_members_only_when_sliced(monkeypatch):
+    """The CLI's member source for a 10^5-member ensemble is built without
+    drawing a member and allocates under 64 KiB; a slice draws its members
+    alone.  A list of the members would hold about 20 MiB."""
+    drawn = []
+    default_rng = np.random.default_rng
+
+    def counted(*args):
+        drawn.append(args)
+        return default_rng(*args)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    config = replace(default_config(), ensemble=EnsembleSpec(
+        n_members=100_000, sigma_inh=40.0, seed=7))
+    tracemalloc.start()
+    try:
+        members = cli._members(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert not drawn
+    assert len(members) == 100_000
+    chunk = members[99_998:]
+    assert len(drawn) == 2
+    assert chunk == [members[99_998], members[-1]]
 
 
 def test_sample_mean_within_standard_error(dimer):

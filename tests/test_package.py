@@ -1,7 +1,9 @@
 """The package as documented: the README's library example, the version
-that pyproject.toml declares and an import graph without cycles."""
+and console script that pyproject.toml declares and an import graph
+without cycles."""
 
 import ast
+import importlib
 import os
 import re
 
@@ -33,6 +35,16 @@ def test_pyproject_version_is_the_package_version():
     project = _read("pyproject.toml").split("[project]\n", 1)[1]
     version = re.search(r'^version = "([^"]*)"$', project, re.M).group(1)
     assert version == dimerqpt.__version__
+
+
+def test_console_script_resolves_and_runs(tmp_path, capsys):
+    """The ``dimerqpt`` entry point of ``[project.scripts]`` names a
+    function that runs the CLI: ``report`` on an empty directory exits 3."""
+    scripts = _read("pyproject.toml").split("[project.scripts]\n", 1)[1]
+    entry = re.search(r'^dimerqpt = "([\w.]+):(\w+)"$', scripts, re.M)
+    main = getattr(importlib.import_module(entry.group(1)), entry.group(2))
+    assert main(["report", "--output-dir", str(tmp_path)]) == 3
+    assert "run_manifest.json" in capsys.readouterr().err
 
 
 def _package_imports(tree, modules):
