@@ -19,8 +19,9 @@ import warnings
 import numpy as np
 
 import dimerqpt
-from .config import (ExperimentConfig, config_to_dict, default_config,
-                     gamma_tag, load_config, read_json, write_json)
+from .config import (DEFAULT_OUTPUT_DIR, ExperimentConfig, check_output_dir,
+                     config_to_dict, default_config, gamma_tag, load_config,
+                     read_json, write_json)
 from .ensemble import Members, evaluate_ensemble, invert, prepare, propagators
 from .errors import ConfigError, DimerQptError, InputFileError
 from .model import EXCITON_LABELS
@@ -74,6 +75,23 @@ def _members(config):
     return Members(config.dimer, config.ensemble)
 
 
+@contextlib.contextmanager
+def _outputs(paths):
+    """Remove the files ``paths`` on entry and again if the block raises:
+    a command that stops part-way leaves none of its outputs, neither its
+    own nor an earlier run's."""
+    def remove():
+        for path in paths:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+    remove()
+    try:
+        yield
+    except BaseException:
+        remove()
+        raise
+
+
 def cmd_simulate(config: ExperimentConfig):
     os.makedirs(config.output_dir, exist_ok=True)
     results = evaluate_ensemble(_members(config), config.bath,
@@ -81,32 +99,24 @@ def cmd_simulate(config: ExperimentConfig):
                                 config.gamma_list,
                                 verbatim=config.verbatim_terms,
                                 want_tensors=False)
-    written = []
-    try:
+    manifest = os.path.join(config.output_dir, _MANIFEST)
+    with _outputs([_output(config, stem, gamma)
+                   for gamma in config.gamma_list
+                   for stem in ("signals", "pathways")] + [manifest]):
         for gidx, (gamma, result) in enumerate(zip(config.gamma_list,
                                                    results)):
             signals = result.signal_table.values
             if config.noise:
                 signals = _apply_noise(signals, config.noise,
                                        config.ensemble.seed, gidx)
-            written.append(_output(config, "signals", gamma))
-            _write_rows(written[-1], _SIGNAL_HEADER, config.t_grid,
-                        OMEGA_LABELS, signals)
-            written.append(_output(config, "pathways", gamma))
-            _write_rows(written[-1], _PATHWAY_HEADER, config.t_grid,
-                        PATHWAY_LABELS, result.pathway_means)
-        written.append(os.path.join(config.output_dir, _MANIFEST))
-        write_json(written[-1], {
+            _write_rows(_output(config, "signals", gamma), _SIGNAL_HEADER,
+                        config.t_grid, OMEGA_LABELS, signals)
+            _write_rows(_output(config, "pathways", gamma), _PATHWAY_HEADER,
+                        config.t_grid, PATHWAY_LABELS, result.pathway_means)
+        write_json(manifest, {
             "config": config_to_dict(config),
             "versions": {"dimerqpt": dimerqpt.__version__,
                          "numpy": np.__version__}})
-    except BaseException:
-        # a run that stops part-way, at a later Gamma or at the manifest,
-        # leaves none of its files
-        for path in written:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(path)
-        raise
     return EXIT_OK
 
 
@@ -330,62 +340,59 @@ def _physicality(elements, grounds, times, tolerance=_TOLERANCE):
                               choi_tol=tolerance)
 
 
-def cmd_reconstruct(config: ExperimentConfig):
-    # the configured dimer's engine arrays: for a homogeneous run, the C, M
-    # and propagator that made the signals, so each file inverts with them
+def _homogeneous_inverses(config):
+    """(head, elements, grounds) of each Gamma of a homogeneous run: its
+    signal file, read when its Gamma is reached, inverted with the C and M
+    of the configured dimer, which made it, and compared with that dimer's
+    propagators."""
     nominal = prepare([config.dimer], 0, config.bath, config.toolbox,
                       config.t_grid)
-    if config.homogeneous_only:
-        truth, truth_grounds = (array[0] for array in propagators(nominal))
+    truth, truth_grounds = (array[0] for array in propagators(nominal))
+    for gamma in config.gamma_list:
+        sig_path = _output(config, "signals", gamma)
+        table = _read_signal_table(sig_path, config)
+        with np.errstate(over="ignore", invalid="ignore"):
+            blocks, (elements,), (grounds,) = invert(
+                nominal, np.array([gamma]), table.values.T[None],
+                config.verbatim_terms)
+        if not all(np.isfinite(a).all() for a in (elements, grounds)):
+            raise ValueError(
+                f"{sig_path}: the inverse of these signals is not finite")
+        max_err = max(np.max(np.abs(elements - truth)),
+                      np.max(np.abs(grounds - truth_grounds)))
+        yield (f"cond(C)={nominal.cond_base[0] ** 4:.6g} "
+               f"cond(M)={blocks.condition_numbers} "
+               f"max_residual={max_err:.3e}", elements, grounds)
+
+
+def cmd_reconstruct(config: ExperimentConfig):
     tensor_paths = [_output(config, "tensors", gamma)
                     for gamma in config.gamma_list]
     report_path = os.path.join(config.output_dir, "reconstruction_report.txt")
-    # a run that stops part-way must not leave an earlier run's outputs
-    # beside its own
-    for path in tensor_paths + [report_path]:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(path)
-    if not config.homogeneous_only:
-        # member-wise: every member inverted with its own C and M
-        results = evaluate_ensemble(_members(config), config.bath,
-                                    config.toolbox, config.t_grid,
-                                    config.gamma_list,
-                                    verbatim=config.verbatim_terms)
-    report_lines = []
-    failed = False
-    for index, (gamma, tensor_path) in enumerate(zip(config.gamma_list,
-                                                     tensor_paths)):
-        tag = gamma_tag(gamma)
+    with _outputs(tensor_paths + [report_path]):
         if config.homogeneous_only:
-            sig_path = _output(config, "signals", gamma)
-            table = _read_signal_table(sig_path, config)
-            with np.errstate(over="ignore", invalid="ignore"):
-                blocks, (elements,), (grounds,) = invert(
-                    nominal, np.array([gamma]), table.values.T[None],
-                    config.verbatim_terms)
-            if not all(np.isfinite(a).all() for a in (elements, grounds)):
-                raise ValueError(
-                    f"{sig_path}: the inverse of these signals is not finite")
-            max_err = max(np.max(np.abs(elements - truth)),
-                          np.max(np.abs(grounds - truth_grounds)))
-            report_lines.append(
-                f"gamma={tag}: cond(C)={nominal.cond_base[0] ** 4:.6g} "
-                f"cond(M)={blocks.condition_numbers} "
-                f"max_residual={max_err:.3e}")
+            inverses = _homogeneous_inverses(config)
         else:
-            result = results[index]
-            elements, grounds = result.elements, result.grounds
-            report_lines.append(
-                f"gamma={tag}: member-wise ensemble average over "
-                f"{result.n_members} members, cond(C base)="
-                f"{nominal.cond_base[0]:.6g}")
-        lines, passed = _physicality(elements, grounds, config.t_grid)
-        failed = failed or not passed.all()
-        report_lines += [f"gamma={tag} {line}" for line in lines]
-        _write_tensor_csv(tensor_path, elements, grounds, config.t_grid)
-    report = "\n".join(report_lines) + "\n"
-    with open(report_path, "w") as fh:
-        fh.write(report)
+            # member-wise: every member inverted with its own C and M
+            inverses = ((f"member-wise ensemble average over {r.n_members} "
+                         "members", r.elements, r.grounds)
+                        for r in evaluate_ensemble(
+                            Members(config.dimer, config.ensemble),
+                            config.bath, config.toolbox, config.t_grid,
+                            config.gamma_list, verbatim=config.verbatim_terms))
+        report_lines = []
+        failed = False
+        for gamma, tensor_path, (head, elements, grounds) in zip(
+                config.gamma_list, tensor_paths, inverses):
+            tag = gamma_tag(gamma)
+            lines, passed = _physicality(elements, grounds, config.t_grid)
+            failed = failed or not passed.all()
+            report_lines.append(f"gamma={tag}: {head}")
+            report_lines += [f"gamma={tag} {line}" for line in lines]
+            _write_tensor_csv(tensor_path, elements, grounds, config.t_grid)
+        report = "\n".join(report_lines) + "\n"
+        with open(report_path, "w") as fh:
+            fh.write(report)
     sys.stdout.write(report)
     return EXIT_VALIDATION if failed else EXIT_OK
 
@@ -409,7 +416,7 @@ def cmd_validate(tensor_csv, tolerance=_TOLERANCE):
 
 
 def cmd_report(output_dir):
-    path = os.path.join(output_dir, _MANIFEST)
+    path = os.path.join(check_output_dir(output_dir), _MANIFEST)
     manifest = read_json(path, InputFileError)
     cfg = manifest.get("config", {}) if isinstance(manifest, dict) else None
     grid = cfg.get("t_grid", []) if isinstance(cfg, dict) else None
@@ -474,7 +481,7 @@ def build_parser():
     v.add_argument("--tolerance", type=_tolerance, default=_TOLERANCE)
 
     r = sub.add_parser("report")
-    r.add_argument("--output-dir", default="out")
+    r.add_argument("--output-dir", default=DEFAULT_OUTPUT_DIR)
     return parser
 
 

@@ -22,6 +22,7 @@ from .model import DimerParams
 from .pulses import PulseToolbox
 
 DEFAULT_GAMMAS = (0.0, 0.5, 1.0, 1.5, 2.0)
+DEFAULT_OUTPUT_DIR = "out"
 
 # integer fields of the sections, with their least values
 _INTEGERS = {"ensemble.n_members": 1, "ensemble.seed": 0}
@@ -30,6 +31,14 @@ _INTEGERS = {"ensemble.n_members": 1, "ensemble.seed": 0}
 def gamma_tag(gamma):
     """The text naming ``gamma`` in file names: ``*_gamma<tag>.csv``."""
     return f"{gamma:g}"
+
+
+def check_output_dir(path):
+    """``path`` as an output directory: an empty name raises ConfigError,
+    as it names no directory."""
+    if path == "":
+        raise ConfigError("output_dir: must name a directory, got ''")
+    return path
 
 
 def _require_finite(where, value):
@@ -53,7 +62,7 @@ class ExperimentConfig:
     noise: float = None
     verbatim_terms: bool = False
     homogeneous_only: bool = False
-    output_dir: str = "out"
+    output_dir: str = DEFAULT_OUTPUT_DIR
 
     def __post_init__(self):
         for k, t in enumerate(self.t_grid):
@@ -91,11 +100,10 @@ class ExperimentConfig:
                     f" and {k} ({g!r}) share the file tag gamma{tags[k]}")
         if self.noise is not None and self.noise < 0:
             raise ConfigError("noise: relative width must be >= 0")
-        if self.output_dir == "":
-            raise ConfigError("output_dir: must name a directory, got ''")
+        check_output_dir(self.output_dir)
 
 
-def default_config(output_dir="out") -> ExperimentConfig:
+def default_config(output_dir=DEFAULT_OUTPUT_DIR) -> ExperimentConfig:
     """The reference parameter set, homogeneous flag off."""
     return ExperimentConfig(
         dimer=DimerParams(site_energy_1=12881.0, site_energy_2=12719.0,

@@ -23,10 +23,11 @@ from dimerqpt.bath import (BathParams, build_redfield_generator,
 from dimerqpt import (bath, cli, ensemble, isoaverage, model, pulses,
                       reconstruct, response)
 from dimerqpt.cli import _parse_tensor_csv, main
-from dimerqpt.config import (config_from_dict, config_to_dict, default_config,
-                             load_config, save_config)
+from dimerqpt.config import (DEFAULT_GAMMAS, config_from_dict,
+                             config_to_dict, default_config, load_config,
+                             save_config)
 from dimerqpt.ensemble import EnsembleSpec, sample_members
-from dimerqpt.errors import ConfigError
+from dimerqpt.errors import ConfigError, SingularToolboxError
 from dimerqpt.isoaverage import build_m_blocks
 from dimerqpt.model import DimerParams, build_exciton_basis
 from dimerqpt.pulses import PulseToolbox, build_c_matrix
@@ -220,6 +221,18 @@ def test_empty_output_dir_flag_rejected(config_path, small_config, tmp_path,
     assert not os.path.exists(small_config.output_dir)
 
 
+def test_report_empty_output_dir_rejected(tmp_path, monkeypatch, capsys):
+    """``report --output-dir ''`` exits 2 with the line simulate and
+    reconstruct give, even where the working directory holds a manifest."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run_manifest.json").write_text('{"config": {"t_grid": []}}')
+    assert main(["report", "--output-dir", ""]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "configuration error: output_dir: must name a directory, got ''\n")
+
+
 def test_ensemble_size_bounded_by_what_len_holds(tmp_path):
     """n_members above sys.maxsize, which len() cannot return, is refused
     when the configuration is loaded; sys.maxsize itself loads."""
@@ -354,6 +367,45 @@ def test_simulate_reconstruct_validate_flow(config_path, small_config):
 
     assert main(["validate", tensor_csv]) == 0
     assert main(["report", "--output-dir", outdir]) == 0
+
+
+# the head line of a Gamma in a homogeneous report
+_HEAD = re.compile(r"gamma=(\S+): cond\(C\)=(\S+) cond\(M\)=(\{.*\}) "
+                   r"max_residual=(\d\.\d{3}e[+-]\d{2})")
+
+
+def test_homogeneous_report_head_lines(config_path, small_config, capsys):
+    """Each Gamma's head line of a homogeneous report: cond(C) as %.6g of
+    cond(base)^4, the three blocks' cond(M) as a dict, then as %.3e the
+    largest distance of the written tensors from the dimer's propagators.
+    stdout and the report file hold the same text."""
+    main(["simulate", "--config", config_path])
+    capsys.readouterr()
+    assert main(["reconstruct", "--config", config_path]) == 0
+    out = capsys.readouterr().out
+    outdir = small_config.output_dir
+    with open(os.path.join(outdir, "reconstruction_report.txt")) as fh:
+        assert fh.read() == out
+    prepared = ensemble.prepare([small_config.dimer], 0, small_config.bath,
+                                small_config.toolbox, small_config.t_grid)
+    truth, truth_grounds = (a[0] for a in ensemble.propagators(prepared))
+    zeros = np.zeros((1, 16, len(small_config.t_grid)))
+    heads = [line for line in out.splitlines() if _HEAD.fullmatch(line)]
+    assert len(heads) == len(small_config.gamma_list)
+    for gamma, line in zip(small_config.gamma_list, heads):
+        tag, cond_c, cond_m, residual = _HEAD.fullmatch(line).groups()
+        assert tag == f"{gamma:g}"
+        assert cond_c == f"{prepared.cond_base[0] ** 4:.6g}"
+        blocks = ensemble.invert(prepared, np.array([gamma]), zeros,
+                                 small_config.verbatim_terms)[0]
+        assert cond_m == str(blocks.condition_numbers)
+        assert list(ast.literal_eval(cond_m)) == ["ee", "epep", "eep"]
+        _, elements, grounds = _parse_tensor_csv(
+            os.path.join(outdir, f"tensors_gamma{tag}.csv"))
+        assert residual == "%.3e" % max(np.max(np.abs(elements - truth)),
+                                        np.max(np.abs(grounds
+                                                      - truth_grounds)))
+        assert float(residual) < 1e-10
 
 
 def test_simulate_rerun_byte_identical(config_path, small_config):
@@ -549,7 +601,8 @@ def test_huge_signal_value_is_not_written(config_path, small_config, capsys):
     assert "Traceback" not in err and "Warning" not in err
     out = small_config.output_dir
     assert not os.path.exists(os.path.join(out, "tensors_gamma2.csv"))
-    _parse_tensor_csv(os.path.join(out, "tensors_gamma0.csv"))
+    assert not [name for name in os.listdir(out)
+                if name.startswith("tensors_")]
 
 
 def test_failed_reconstruct_leaves_no_earlier_outputs(config_path,
@@ -578,6 +631,52 @@ def test_failed_reconstruct_leaves_no_earlier_outputs(config_path,
     capsys.readouterr()
     assert main(["validate", tensor_path]) == 3
     assert tensor_path in capsys.readouterr().err
+
+
+def test_reconstruct_failing_on_a_later_file_leaves_no_outputs(
+        small_config, tmp_path, capsys):
+    """After a good run, a malformed row in the Gamma = 1.5 signal file:
+    reconstruct exits 3 and leaves no tensor file and no report, neither
+    the earlier run's nor those of the Gammas before 1.5."""
+    cfg = replace(small_config, gamma_list=DEFAULT_GAMMAS)
+    path = str(tmp_path / "cfg5.json")
+    save_config(cfg, path)
+    out = cfg.output_dir
+    assert main(["simulate", "--config", path]) == 0
+    assert main(["reconstruct", "--config", path]) == 0
+    with open(os.path.join(out, "signals_gamma1.5.csv"), "a") as fh:
+        fh.write("120,++++,abc,0\r\n")
+    capsys.readouterr()
+    assert main(["reconstruct", "--config", path]) == 3
+    assert "signals_gamma1.5.csv:" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == sorted(
+        [f"{stem}_gamma{g:g}.csv" for stem in ("signals", "pathways")
+         for g in cfg.gamma_list] + ["run_manifest.json"])
+
+
+def test_simulate_failing_to_write_leaves_none_of_its_files(config_path,
+                                                            small_config,
+                                                            capsys):
+    """After a complete run, a simulate of another dimer whose noisy
+    signals overflow exits 1 at its first file and leaves none of the
+    files it writes: no signal or pathway file and no manifest, of either
+    run."""
+    out = small_config.output_dir
+    assert main(["simulate", "--config", config_path]) == 0
+    assert len(os.listdir(out)) == 5
+    data = config_to_dict(small_config)
+    data["dimer"]["coupling_j"] = 100.0
+    data["toolbox"]["field_strength_lambda"] = 1e6
+    data["noise"] = 1e308
+    with open(config_path, "w") as fh:
+        json.dump(data, fh)
+    capsys.readouterr()
+    assert main(["simulate", "--config", config_path]) == 1
+    path = os.path.join(out, "signals_gamma0.csv")
+    assert capsys.readouterr().err == (
+        f"error: {path}: not written, as its numbers would not all be "
+        "finite\n")
+    assert os.listdir(out) == []
 
 
 _TOOLBOX_BLIND = ("toolbox frequencies (13480.0, 12130.0) cm^-1 cannot "
@@ -741,6 +840,36 @@ def test_ensemble_flow_matches_member_mean(tmp_path):
         tensors[gamma] = elements, grounds
     for a, b in zip(tensors["0"], tensors["2"]):
         assert np.max(np.abs(a - b)) < 1e-8
+
+
+def test_ensemble_reconstruct_inverts_only_its_members(tmp_path, monkeypatch,
+                                                       capsys):
+    """An ensemble centred on a nearly degenerate dimer that the toolbox
+    cannot invert: its members can be, so simulate and reconstruct both
+    exit 0.  reconstruct never prepares the configured dimer, and each
+    Gamma's head line names the members averaged and nothing else."""
+    cfg = replace(default_config(output_dir=str(tmp_path / "ens")),
+                  dimer=DimerParams(site_energy_1=12800.0,
+                                    site_energy_2=12800.0, coupling_j=1e-3),
+                  ensemble=EnsembleSpec(n_members=20, sigma_inh=40.0),
+                  t_grid=(120.0, 300.0))
+    path = str(tmp_path / "ens.json")
+    save_config(cfg, path)
+    with pytest.raises(SingularToolboxError):
+        ensemble.prepare([cfg.dimer], 0, cfg.bath, cfg.toolbox, cfg.t_grid)
+    assert main(["simulate", "--config", path]) == 0
+
+    def nominal(*args, **kwargs):
+        raise AssertionError("configured dimer prepared")
+
+    monkeypatch.setattr(cli, "prepare", nominal)
+    monkeypatch.setattr(cli, "propagators", nominal)
+    capsys.readouterr()
+    assert main(["reconstruct", "--config", path]) == 0
+    heads = [line for line in capsys.readouterr().out.splitlines()
+             if " T=" not in line]
+    assert heads == [f"gamma={g:g}: member-wise ensemble average over 20 "
+                     "members" for g in cfg.gamma_list]
 
 
 def test_ensemble_commands_run_the_engine_once(tmp_path, monkeypatch):
