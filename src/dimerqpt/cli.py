@@ -25,6 +25,7 @@ from .config import (DEFAULT_OUTPUT_DIR, ExperimentConfig, check_output_dir,
 from .ensemble import Members, evaluate_ensemble, invert, prepare, propagators
 from .errors import ConfigError, DimerQptError, InputFileError
 from .model import EXCITON_LABELS
+from .pulses import check_generators
 from .reconstruct import validate_tensors
 from .response import OMEGA_LABELS, PATHWAY_LABELS, SignalTable
 
@@ -79,11 +80,20 @@ def _members(config):
 def _outputs(paths):
     """Remove the files ``paths`` on entry and again if the block raises:
     a command that stops part-way leaves none of its outputs, neither its
-    own nor an earlier run's."""
+    own nor an earlier run's.  A path that cannot be removed, such as a
+    directory, does not stop the others' removal; the first such error is
+    raised after every path has been tried."""
     def remove():
+        errors = []
         for path in paths:
-            with contextlib.suppress(FileNotFoundError):
+            try:
                 os.remove(path)
+            except FileNotFoundError:
+                pass
+            except OSError as exc:
+                errors.append(exc)
+        if errors:
+            raise errors[0]
     remove()
     try:
         yield
@@ -171,15 +181,17 @@ def _parse_row(fields, header, slots):
 
 
 def _guarded_lines(fh, keys):
-    """The lines of ``fh``, up to one that is longer than
-    ``csv.field_size_limit()`` or holds a NUL, which raises ValueError: the
-    first may hold a field the csv module rejects, and a NUL ending a key
-    would vanish in a numpy bytes field.
+    """An iterator over the lines of ``fh``, up to a chunk of them that
+    holds a line longer than ``csv.field_size_limit()`` or a NUL, which
+    raises ValueError: the first may hold a field the csv module rejects,
+    and a NUL ending a key would vanish in a numpy bytes field.  Lines are
+    read and guarded about 64 KiB at a time, so no Python frame runs per
+    line.
 
-    The first ``len(keys)`` lines are read and checked before any is
-    yielded: if they are not one block of the writer's layout (key fields
-    ``keys`` in order, one T text), ValueError is raised before any line is
-    parsed, which sends a shuffled or reversed file on at once.
+    The first ``len(keys)`` lines are read and checked first: if they are
+    not one block of the writer's layout (key fields ``keys`` in order, one
+    T text), ValueError is raised before any line is parsed, which sends a
+    shuffled or reversed file on at once.
     """
     block = list(islice(fh, len(keys)))
     fields = [line.split(",") for line in block]
@@ -187,10 +199,14 @@ def _guarded_lines(fh, keys):
            for row, key in zip(fields, keys)):
         raise ValueError("file left to the row checker")
     limit = csv.field_size_limit()
-    for line in chain(block, fh):
-        if len(line) > limit or "\0" in line:
+
+    def guarded(lines):
+        if max(map(len, lines), default=0) > limit or "\0" in "".join(lines):
             raise ValueError("line left to the row checker")
-        yield line
+        return lines
+
+    return chain.from_iterable(map(guarded, chain(
+        [block], iter(lambda: fh.readlines(1 << 16), []))))
 
 
 def _read_writer_layout(fh, header, labels):
@@ -347,6 +363,8 @@ def _homogeneous_inverses(config):
     propagators."""
     nominal = prepare([config.dimer], 0, config.bath, config.toolbox,
                       config.t_grid)
+    cond_c = check_generators(nominal.base, config.toolbox,
+                              first_member=0)[0] ** 4
     truth, truth_grounds = (array[0] for array in propagators(nominal))
     for gamma in config.gamma_list:
         sig_path = _output(config, "signals", gamma)
@@ -360,7 +378,7 @@ def _homogeneous_inverses(config):
                 f"{sig_path}: the inverse of these signals is not finite")
         max_err = max(np.max(np.abs(elements - truth)),
                       np.max(np.abs(grounds - truth_grounds)))
-        yield (f"cond(C)={nominal.cond_base[0] ** 4:.6g} "
+        yield (f"cond(C)={cond_c:.6g} "
                f"cond(M)={blocks.condition_numbers} "
                f"max_residual={max_err:.3e}", elements, grounds)
 

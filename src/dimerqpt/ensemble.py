@@ -10,13 +10,17 @@ at a time.  Once per chunk: the closed-form basis, the 32 isotropic
 dipole factors (``response.iso_dipole_factors``), the secular propagator
 over the waiting-time grid, the 2x2 pulse generator and C.  Per Gamma: the
 geometry map ``table @ (S0 + Gamma dS)`` (with the fixed structure of
-``isoaverage.pathway_structure``) and its checks, the forward map through
-C = base^(x)4 and, for tensors, ``invert``, the two-stage inverse that a
-homogeneous ``reconstruct`` runs on each signal file: ``pulses.kron_solve``
-(C^-1 = (base^-1)^(x)4), then ``isoaverage.solve_tensors``.  Every step acts
-on each member alone (elementwise, or one BLAS/LAPACK call per member), so a
-member's arrays do not depend on the members evaluated with it, and the
-means sum members in order: runs are bit-identical for a given member list.
+``isoaverage.pathway_structure``) and the forward map through
+C = base^(x)4.  The forward pass inverts nothing, so it checks only that
+its arrays are finite.  Tensors take ``invert``, the two-stage inverse that
+a homogeneous ``reconstruct`` runs on each signal file:
+``pulses.kron_solve`` (C^-1 = (base^-1)^(x)4), then
+``isoaverage.solve_tensors``.  So for tensors each chunk's generators are
+checked once (``pulses.check_generators``) and its geometry blocks at each
+Gamma (``isoaverage.geometry_blocks``).  Every step acts on each member
+alone (elementwise, or one BLAS/LAPACK call per member), so a member's
+arrays do not depend on the members evaluated with it, and the means sum
+members in order: runs are bit-identical for a given member list.
 Ensemble reconstruction averages member-wise reconstructed tensors, a convex
 mixture of physical maps.
 """
@@ -98,7 +102,6 @@ class Prepared:
     table: np.ndarray       # (n, 32) isotropic dipole factors
     base: np.ndarray        # (n, 2, 2) single-pulse coefficients c[w, p]
     c: np.ndarray           # (n, 16, 16) C = base^(x)4
-    cond_base: np.ndarray   # (n,) cond(base); cond(C) is its fourth power
     params: np.ndarray      # (n, 6, T) propagator at SECULAR_SLOTS
 
 
@@ -108,9 +111,9 @@ def prepare(members, start, bath, toolbox, waiting_times) -> Prepared:
 
     Finite but extreme parameters can overflow, so the arrays are made with
     floating-point warnings off and then checked.  A member that is
-    degenerate, whose dipole factors, pulse generator, C or propagator are
-    not finite, or whose generator cannot be inverted (``check_generators``)
-    raises, naming it.
+    degenerate, or whose dipole factors, pulse generator, C or propagator
+    are not finite, raises, naming it.  Whether C can be inverted is left
+    to the callers that invert it (``pulses.check_generators``).
     """
     e1, e2, j, d1, d2, phi = np.array(
         [(m.site_energy_1, m.site_energy_2, m.coupling_j, m.dipole_d1,
@@ -137,9 +140,7 @@ def prepare(members, start, bath, toolbox, waiting_times) -> Prepared:
         (not_finite(base), ValueError, "pulse generator is not finite"),
         (not_finite(c), ValueError, "C = base^(x)4 is not finite"),
         (not_finite(params), ValueError, "propagator is not finite"))
-    cond_base = check_generators(base, toolbox, first_member=start)
-    return Prepared(start=start, table=table, base=base, c=c,
-                    cond_base=cond_base, params=params)
+    return Prepared(start=start, table=table, base=base, c=c, params=params)
 
 
 def _geometry_map(chunk, gamma, structure):
@@ -170,7 +171,8 @@ def propagators(prepared):
 def invert(prepared, gamma, signals, verbatim=False, blocks=None):
     """Blocks, elements (n, k, 2, 2, 2, 2) and ground rows (n, k, 2, 2) of
     signal columns (n, 16, k): ``kron_solve`` with each member's C, then
-    ``solve_tensors`` with its checked M at Gamma (n,), or with ``blocks``."""
+    ``solve_tensors`` with its checked M at Gamma (n,), or with ``blocks``.
+    The caller checks C first (``pulses.check_generators``)."""
     if blocks is None:
         blocks = geometry_blocks(
             *_geometry_map(prepared, gamma, pathway_structure(verbatim)),
@@ -186,7 +188,9 @@ def _evaluate(chunk, gamma, structure, want_tensors):
     elements (n, T, 2, 2, 2, 2) and ground rows (n, T, 2, 2), else None.
 
     The finite arrays of ``prepare`` can still overflow here: a member
-    whose geometry map or signals are not finite raises, naming it.
+    whose geometry map or signals are not finite raises, naming it.  Only
+    tensors invert M, so only then is a member with a singular geometry
+    block rejected (``geometry_blocks``).
     """
     offset, full = _geometry_map(chunk, gamma, structure)
     pathways = full[..., SECULAR_SLOTS] @ chunk.params + offset[..., None]
@@ -195,9 +199,9 @@ def _evaluate(chunk, gamma, structure, want_tensors):
         ~(np.isfinite(full).all(axis=(1, 2))
           & np.isfinite(signals).all(axis=(1, 2))),
         ValueError, "geometry map or signals are not finite"))
-    blocks = geometry_blocks(offset, full, first_member=chunk.start)
     if not want_tensors:
         return signals, pathways, None, None
+    blocks = geometry_blocks(offset, full, first_member=chunk.start)
     _, elements, grounds = invert(chunk, gamma, signals, blocks=blocks)
     return signals, pathways, elements, grounds
 
@@ -244,9 +248,12 @@ def evaluate_ensemble(members, bath: BathParams, toolbox: PulseToolbox,
     An entry of ``gammas`` is one Gamma for every member or a sequence of
     one per member.  Each chunk of members is prepared, evaluated at every
     Gamma, added to that Gamma's running totals in member order and dropped.
-    A member that fails a check (degenerate dimer, singular pulse generator,
-    leaking or singular geometry map) raises the error with its index in
-    ``members``: the first failure in chunk order, then in Gamma order.
+    A member that fails a check raises the error with its index in
+    ``members``: the first failure in chunk order, then Gamma-independent
+    before per-Gamma, then in Gamma order.  Every pass rejects a degenerate
+    dimer and arrays that are not finite; only ``want_tensors``, which
+    inverts C and M, also rejects a singular pulse generator or geometry
+    block.
     """
     if not members:
         raise ValueError("members must be nonempty")
@@ -263,6 +270,8 @@ def evaluate_ensemble(members, bath: BathParams, toolbox: PulseToolbox,
         for start in range(0, count, step):
             chunk = prepare(members[start:start + step], start, bath,
                             toolbox, t_grid)
+            if want_tensors:
+                check_generators(chunk.base, toolbox, first_member=start)
             for gamma, sums in zip(gammas, totals):
                 sums[:] = [_add_in_order(total, part) for total, part in zip(
                     sums, _evaluate(chunk, gamma[start:start + step],

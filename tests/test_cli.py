@@ -268,11 +268,13 @@ def test_manifest_versions_without_importing_scipy(config_path,
                         "numpy": np.__version__}
 
 
-def test_simulate_failing_at_a_later_gamma_leaves_no_files(tmp_path,
-                                                          monkeypatch,
-                                                          capsys):
-    """A geometry that is singular at Gamma = 1 only: simulate fails in the
-    engine, which runs every Gamma before any file is written."""
+def test_reconstruct_failing_at_a_later_gamma_leaves_no_files(tmp_path,
+                                                             monkeypatch,
+                                                             capsys):
+    """A geometry that is singular at Gamma = 1 only: simulate, which
+    inverts nothing, writes finite files, and reconstruct fails at Gamma = 1
+    after writing the Gamma = 0 tensors, leaving no tensor file and no
+    report."""
     cfg = replace(default_config(output_dir="."), homogeneous_only=True,
                   dimer=replace(default_config().dimer,
                                 dipole_ratio_d2_over_d1=1.0,
@@ -280,11 +282,18 @@ def test_simulate_failing_at_a_later_gamma_leaves_no_files(tmp_path,
                   gamma_list=(0.0, 1.0), t_grid=(120.0, 300.0))
     save_config(cfg, tmp_path / "cfg.json")
     monkeypatch.chdir(tmp_path)
-    assert main(["simulate", "--config", "cfg.json"]) == 1
+    assert main(["simulate", "--config", "cfg.json"]) == 0
+    simulated = sorted(os.listdir(tmp_path))
+    assert simulated == ["cfg.json", "pathways_gamma0.csv",
+                         "pathways_gamma1.csv", "run_manifest.json",
+                         "signals_gamma0.csv", "signals_gamma1.csv"]
+    assert _csv_numbers_finite(tmp_path)
+    capsys.readouterr()
+    assert main(["reconstruct", "--config", "cfg.json"]) == 1
     assert capsys.readouterr().err == (
         "error: member 0: geometry block ee is singular for this dipole "
         "geometry\n")
-    assert os.listdir(tmp_path) == ["cfg.json"]
+    assert sorted(os.listdir(tmp_path)) == simulated
 
 
 @pytest.mark.parametrize("blocked", ["signals_gamma2.csv",
@@ -303,6 +312,77 @@ def test_simulate_failing_to_write_a_later_gamma_leaves_no_files(
     assert capsys.readouterr().err == (
         f"error: [Errno 21] Is a directory: 'out/{blocked}'\n")
     assert os.listdir("out") == [blocked]
+
+
+def test_simulate_removes_every_output_it_can(tmp_path, monkeypatch, capsys):
+    """After a complete run, one output path becomes a directory: the next
+    simulate exits 3 naming it, and removes the earlier run's other outputs
+    before it stops, those after the directory in its list as well."""
+    cfg = replace(default_config(output_dir="out"), homogeneous_only=True,
+                  gamma_list=(0.0, 2.0), t_grid=(120.0, 300.0))
+    save_config(cfg, tmp_path / "cfg.json")
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--config", "cfg.json"]) == 0
+    assert len(os.listdir("out")) == 5
+    blocked = os.path.join("out", "pathways_gamma0.csv")
+    os.remove(blocked)
+    os.makedirs(blocked)
+    assert main(["simulate", "--config", "cfg.json"]) == 3
+    assert capsys.readouterr().err == (
+        f"error: [Errno 21] Is a directory: '{blocked}'\n")
+    assert os.listdir("out") == ["pathways_gamma0.csv"]
+
+
+@pytest.mark.parametrize("homogeneous", [False, True])
+def test_simulate_takes_no_inverse(tmp_path, monkeypatch, homogeneous):
+    """simulate only multiplies forward, so it never runs the checks that
+    guard an inverse: with ``check_generators`` and ``geometry_blocks``
+    made to raise, it exits 0 and writes the same bytes."""
+    cfg = replace(default_config(output_dir="out"),
+                  homogeneous_only=homogeneous,
+                  ensemble=EnsembleSpec(n_members=6, sigma_inh=40.0, seed=3),
+                  t_grid=(120.0, 300.0, 700.0))
+    save_config(cfg, tmp_path / "cfg.json")
+    monkeypatch.chdir(tmp_path)
+
+    def written():
+        assert main(["simulate", "--config", "cfg.json"]) == 0
+        return {name: (tmp_path / "out" / name).read_bytes()
+                for name in os.listdir("out")}
+
+    expected = written()
+
+    def inverse_check(*args, **kwargs):
+        raise AssertionError("simulate ran an inverse's check")
+
+    for name in ("check_generators", "geometry_blocks"):
+        monkeypatch.setattr(ensemble, name, inverse_check)
+    assert written() == expected
+    assert len(expected) == 11
+
+
+def test_wide_disorder_simulates_and_fails_only_reconstruct(tmp_path, capsys):
+    """150 members at 80 cm^-1 disorder about the default dimer: member 149's
+    pulse generator cannot be inverted.  simulate, which inverts nothing,
+    exits 0 with finite signals and no numpy warning (a warning fails the
+    tests); reconstruct, which inverts each member's C, exits 1 naming
+    member 149 and leaves no tensor file and no report."""
+    cfg = default_config(output_dir=str(tmp_path / "out"))
+    cfg = replace(cfg, t_grid=(120.0, 300.0, 700.0),
+                  ensemble=replace(cfg.ensemble, n_members=150,
+                                   sigma_inh=80.0))
+    path = str(tmp_path / "cfg.json")
+    save_config(cfg, path)
+    assert main(["simulate", "--config", path]) == 0
+    assert capsys.readouterr().err == ""
+    simulated = sorted(os.listdir(cfg.output_dir))
+    assert len(simulated) == 11
+    assert _csv_numbers_finite(cfg.output_dir)
+    assert main(["reconstruct", "--config", path]) == 1
+    assert capsys.readouterr().err == (
+        "error: member 149: toolbox frequencies (13480.0, 12130.0) cm^-1 "
+        "cannot discriminate the exciton transitions\n")
+    assert sorted(os.listdir(cfg.output_dir)) == simulated
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
@@ -392,10 +472,11 @@ def test_homogeneous_report_head_lines(config_path, small_config, capsys):
     zeros = np.zeros((1, 16, len(small_config.t_grid)))
     heads = [line for line in out.splitlines() if _HEAD.fullmatch(line)]
     assert len(heads) == len(small_config.gamma_list)
+    cond_base = pulses.check_generators(prepared.base, small_config.toolbox)
     for gamma, line in zip(small_config.gamma_list, heads):
         tag, cond_c, cond_m, residual = _HEAD.fullmatch(line).groups()
         assert tag == f"{gamma:g}"
-        assert cond_c == f"{prepared.cond_base[0] ** 4:.6g}"
+        assert cond_c == f"{cond_base[0] ** 4:.6g}"
         blocks = ensemble.invert(prepared, np.array([gamma]), zeros,
                                  small_config.verbatim_terms)[0]
         assert cond_m == str(blocks.condition_numbers)
@@ -694,19 +775,29 @@ def test_overflowing_config_names_the_member(tmp_path, capsys, section, field,
                                              value, message):
     """A finite but extreme number that overflows the forward model exits 1
     with one line naming the member, before any CSV is written; no numpy
-    warning comes first (a warning fails the tests)."""
+    warning comes first (a warning fails the tests).  A dimer so far from
+    the toolbox that C cannot be inverted fails reconstruct alone: simulate,
+    which takes no inverse, exits 0 with finite signals, and reconstruct
+    writes no tensor file."""
     data = config_to_dict(default_config(output_dir=str(tmp_path / "out")))
     data["ensemble"]["n_members"] = 4
     data["t_grid"] = [120.0, 200.0]
     data[section][field] = value
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(data))
-    for command in ("simulate", "reconstruct"):
-        assert main([command, "--config", str(path)]) == 1
-        assert capsys.readouterr().err == f"error: member 0: {message}\n"
-    assert not (tmp_path / "out").exists() or not [
-        name for name in os.listdir(tmp_path / "out")
-        if name.endswith(".csv")]
+    simulated = message == _TOOLBOX_BLIND
+    assert main(["simulate", "--config", str(path)]) == (0 if simulated
+                                                         else 1)
+    assert capsys.readouterr().err == (
+        "" if simulated else f"error: member 0: {message}\n")
+    assert main(["reconstruct", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: member 0: {message}\n"
+    written = sorted(name for name in os.listdir(tmp_path / "out")
+                     if name.endswith(".csv"))
+    assert written == (sorted(f"{stem}_gamma{g:g}.csv" for g in DEFAULT_GAMMAS
+                              for stem in ("signals", "pathways"))
+                       if simulated else [])
+    assert _csv_numbers_finite(tmp_path / "out")
 
 
 def test_overflowing_noise_is_not_written(config_path, small_config, capsys):
@@ -856,7 +947,9 @@ def test_ensemble_reconstruct_inverts_only_its_members(tmp_path, monkeypatch,
     path = str(tmp_path / "ens.json")
     save_config(cfg, path)
     with pytest.raises(SingularToolboxError):
-        ensemble.prepare([cfg.dimer], 0, cfg.bath, cfg.toolbox, cfg.t_grid)
+        pulses.check_generators(ensemble.prepare(
+            [cfg.dimer], 0, cfg.bath, cfg.toolbox, cfg.t_grid).base,
+            cfg.toolbox)
     assert main(["simulate", "--config", path]) == 0
 
     def nominal(*args, **kwargs):

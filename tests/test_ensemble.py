@@ -15,7 +15,7 @@ from dimerqpt.errors import DegenerateDimerError, SingularGeometryError
 from dimerqpt.isoaverage import (build_m_blocks, pathway_structure,
                                  tensor_to_params)
 from dimerqpt.model import DimerParams, build_exciton_basis
-from dimerqpt.pulses import build_c_matrix
+from dimerqpt.pulses import build_c_matrix, check_generators
 from dimerqpt.reconstruct import (reconstruct_rows, reconstruct_single,
                                   validate_tensor)
 
@@ -294,15 +294,19 @@ def test_singular_member_is_named(dimer, bath, toolbox, chunk, monkeypatch):
     monkeypatch.setattr(ensemble, "_CHUNK_MEMBER_TIMES",
                         chunk * (len(T_GRID) + 32))
     with pytest.raises(SingularGeometryError, match=r"^member 3: geometry"):
-        run_ensemble(members, bath, toolbox, T_GRID, want_tensors=False)
+        run_ensemble(members, bath, toolbox, T_GRID)
+    # the forward pass inverts no M, so the singular block does not stop it
+    forward = run_ensemble(members, bath, toolbox, T_GRID, want_tensors=False)
+    assert np.isfinite(forward.signal_table.values).all()
 
 
 def test_failures_surface_chunk_by_chunk(dimer, bath, toolbox, monkeypatch):
     """Each chunk is prepared and run at every Gamma before the next chunk
     is prepared, so the first failure in chunk order is named.  With chunks
     of 3 members and Gamma (0, 1), member 1 (singular at Gamma = 1 only)
-    fails in the first chunk, before member 4, whose dipole factors
-    overflow, is prepared in the second."""
+    fails the inverting pass in the first chunk, before member 4, whose
+    dipole factors overflow, is prepared in the second.  The forward pass
+    inverts no M, so it runs on to member 4."""
     ortho = replace(dimer, dipole_ratio_d2_over_d1=1.0,
                     dipole_angle_phi=math.pi / 2)
     members = [dimer, ortho, dimer, dimer, replace(dimer, dipole_d1=1e200),
@@ -311,6 +315,9 @@ def test_failures_surface_chunk_by_chunk(dimer, bath, toolbox, monkeypatch):
                         3 * (len(T_GRID) + 32))
     with pytest.raises(SingularGeometryError,
                        match=r"^member 1: geometry block ee is singular"):
+        evaluate_ensemble(members, bath, toolbox, T_GRID, (0.0, 1.0))
+    with pytest.raises(ValueError, match=r"^member 4: isotropic dipole "
+                       r"factors are not finite$"):
         evaluate_ensemble(members, bath, toolbox, T_GRID, (0.0, 1.0),
                           want_tensors=False)
 
@@ -375,9 +382,10 @@ def test_worst_conditioned_default_member_round_trips():
     members = sample_members(config.dimer, config.ensemble)
     prepared = ensemble.prepare(members, 0, config.bath, config.toolbox,
                                 config.t_grid)
-    worst = int(np.argmax(prepared.cond_base))
+    cond_base = check_generators(prepared.base, config.toolbox)
+    worst = int(np.argmax(cond_base))
     assert worst == 7298
-    assert prepared.cond_base[worst] ** 4 == pytest.approx(1.35e12, rel=0.01)
+    assert cond_base[worst] ** 4 == pytest.approx(1.35e12, rel=0.01)
     one = ensemble.prepare(members[worst:worst + 1], worst, config.bath,
                            config.toolbox, config.t_grid)
     truth, truth_grounds = ensemble.propagators(one)
