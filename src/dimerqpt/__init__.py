@@ -17,10 +17,10 @@ from .model import (DIPOLE_LABELS, EXCITON_LABELS, DimerParams, ExcitonBasis,
                     build_exciton_basis)
 from .pulses import (CMatrix, PulseToolbox, base_coefficient_matrix,
                      build_c_matrix, pulse_coefficient)
+# ``reconstruct`` itself is left out: it would shadow its module
 from .reconstruct import (ReconstructionReport, TensorDiagnostics,
-                          invert_signals, reconstruct, reconstruct_rows,
-                          reconstruct_single, validate_tensor,
-                          validate_tensors)
+                          invert_signals, reconstruct_rows, reconstruct_single,
+                          validate_tensor, validate_tensors)
 from .response import (PATHWAY_ORDER, SignalTable, iso_pathway_vector,
                        pathway_terms)
 

@@ -183,9 +183,10 @@ def invert(prepared, gamma, signals, verbatim=False, blocks=None):
 
 
 def _evaluate(chunk, gamma, structure, want_tensors):
-    """Per-member arrays of a chunk at Gamma (n,): signals and pathway
-    vectors (n, 16, T), and with ``want_tensors`` the member-reconstructed
-    elements (n, T, 2, 2, 2, 2) and ground rows (n, T, 2, 2), else None.
+    """Named per-member arrays of a chunk at Gamma (n,): ``signals`` and
+    ``pathways`` (n, 16, T), and with ``want_tensors`` the
+    member-reconstructed ``elements`` (n, T, 2, 2, 2, 2) and ``grounds``
+    (n, T, 2, 2).
 
     The finite arrays of ``prepare`` can still overflow here: a member
     whose geometry map or signals are not finite raises, naming it.  Only
@@ -199,24 +200,25 @@ def _evaluate(chunk, gamma, structure, want_tensors):
         ~(np.isfinite(full).all(axis=(1, 2))
           & np.isfinite(signals).all(axis=(1, 2))),
         ValueError, "geometry map or signals are not finite"))
-    if not want_tensors:
-        return signals, pathways, None, None
-    blocks = geometry_blocks(offset, full, first_member=chunk.start)
-    _, elements, grounds = invert(chunk, gamma, signals, blocks=blocks)
-    return signals, pathways, elements, grounds
+    parts = {"signals": signals, "pathways": pathways}
+    if want_tensors:
+        blocks = geometry_blocks(offset, full, first_member=chunk.start)
+        _, parts["elements"], parts["grounds"] = invert(
+            chunk, gamma, signals, blocks=blocks)
+    return parts
 
 
-def _add_in_order(total, part):
-    """``total`` plus the members of ``part`` (n, ...), one after another.
+def _add_in_order(sums, parts):
+    """Add the members of each named array of ``parts`` (n, ...), one after
+    another, into ``sums`` under its name.
 
     An axis-0 sum adds the rows in order; the running total, added in place
     to the first member, goes first, so the order carries across chunks.
     """
-    if part is None:
-        return None
-    if total is not None:
-        part[0] += total
-    return part.sum(axis=0)
+    for name, part in parts.items():
+        if name in sums:
+            part[0] += sums[name]
+        sums[name] = part.sum(axis=0)
 
 
 @dataclass
@@ -262,7 +264,7 @@ def evaluate_ensemble(members, bath: BathParams, toolbox: PulseToolbox,
     count = len(members)
     gammas = [np.broadcast_to(np.asarray(g, float), (count,)) for g in gammas]
     step = max(1, _CHUNK_MEMBER_TIMES // (len(t_grid) + 32))
-    totals = [[None] * 4 for _ in gammas]
+    totals = [{} for _ in gammas]
     # overflow is checked for, not warned about: _evaluate rejects a member
     # whose signals are not finite, and a mean that overflows is left to the
     # CSV writer, which refuses numbers that are not finite
@@ -273,16 +275,16 @@ def evaluate_ensemble(members, bath: BathParams, toolbox: PulseToolbox,
             if want_tensors:
                 check_generators(chunk.base, toolbox, first_member=start)
             for gamma, sums in zip(gammas, totals):
-                sums[:] = [_add_in_order(total, part) for total, part in zip(
-                    sums, _evaluate(chunk, gamma[start:start + step],
-                                    structure, want_tensors))]
+                _add_in_order(sums, _evaluate(
+                    chunk, gamma[start:start + step], structure, want_tensors))
             # dropped before the next chunk is prepared
             del chunk
         # in place: a second copy of the totals would raise peak memory
-        for total in (t for sums in totals for t in sums if t is not None):
+        for total in (t for sums in totals for t in sums.values()):
             total /= count
-    return [EnsembleResult(SignalTable(t_grid, sig.T), pw.T, el, gr, count)
-            for sig, pw, el, gr in totals]
+    return [EnsembleResult(SignalTable(t_grid, sums["signals"].T),
+                           sums["pathways"].T, sums.get("elements"),
+                           sums.get("grounds"), count) for sums in totals]
 
 
 def run_ensemble(members, bath: BathParams, toolbox: PulseToolbox, t_grid,

@@ -300,15 +300,26 @@ def test_reconstruct_failing_at_a_later_gamma_leaves_no_files(tmp_path,
                                      "run_manifest.json"])
 def test_simulate_failing_to_write_a_later_gamma_leaves_no_files(
         tmp_path, monkeypatch, capsys, blocked):
-    """The Gamma = 2 signal file, or the manifest written after every
-    Gamma's files, cannot be written, as its path is a directory: simulate
-    exits 3 and removes the files it wrote."""
+    """Once the first signal file is written, the Gamma = 2 signal file, or
+    the manifest written after every Gamma's files, becomes a directory and
+    cannot be written: simulate exits 3 naming it and removes the files it
+    wrote."""
     cfg = replace(default_config(output_dir="out"), homogeneous_only=True,
                   gamma_list=(0.0, 2.0), t_grid=(120.0, 300.0))
     save_config(cfg, tmp_path / "cfg.json")
     monkeypatch.chdir(tmp_path)
-    os.makedirs(os.path.join("out", blocked))
+    first = os.path.join("out", "signals_gamma0.csv")
+    write_rows, written = cli._write_rows, []
+
+    def write_then_block(path, *args):
+        write_rows(path, *args)
+        written.append(path)
+        if path == first:
+            os.makedirs(os.path.join("out", blocked))
+
+    monkeypatch.setattr(cli, "_write_rows", write_then_block)
     assert main(["simulate", "--config", "cfg.json"]) == 3
+    assert written[0] == first
     assert capsys.readouterr().err == (
         f"error: [Errno 21] Is a directory: 'out/{blocked}'\n")
     assert os.listdir("out") == [blocked]
@@ -906,10 +917,15 @@ def test_signal_file_missing_column(config_path, small_config, capsys):
     assert "signals_gamma2.csv:1:" in err
 
 
-def test_ensemble_flow_matches_member_mean(tmp_path):
+@pytest.mark.parametrize("verbatim", [False, True])
+def test_ensemble_flow_matches_member_mean(tmp_path, verbatim):
+    """The ensemble's tensors are the mean of its members' propagators at
+    each Gamma, with the default pathway reading and with the alternative
+    one, whose map carries a nonzero offset."""
     cfg = replace(default_config(output_dir=str(tmp_path / "ens")),
                   ensemble=EnsembleSpec(n_members=3, sigma_inh=40.0, seed=4),
-                  t_grid=(120.0, 300.0), gamma_list=(0.0, 2.0))
+                  t_grid=(120.0, 300.0), gamma_list=(0.0, 2.0),
+                  verbatim_terms=verbatim)
     path = str(tmp_path / "ens.json")
     save_config(cfg, path)
     assert main(["simulate", "--config", path]) == 0

@@ -257,9 +257,12 @@ def test_member_arrays_independent_of_batch(dimer, bath, toolbox, verbatim,
         return ensemble._evaluate(chunk, gammas[start:stop], structure, True)
 
     batch = arrays(0, len(members))
+    assert list(batch) == ["signals", "pathways", "elements", "grounds"]
     for i in range(len(members)):
-        for part, alone in zip(batch, arrays(i, i + 1)):
-            assert np.array_equal(part[i], alone[0])
+        alone = arrays(i, i + 1)
+        assert alone.keys() == batch.keys()
+        for name, part in batch.items():
+            assert np.array_equal(part[i], alone[name][0])
 
     whole = run_ensemble(members, bath, toolbox, T_GRID, verbatim=verbatim)
     # chunks of 3, 3 and 3 members: the running sums cross two boundaries
@@ -392,8 +395,9 @@ def test_worst_conditioned_default_member_round_trips():
     structure = pathway_structure(False)
     for gamma in config.gamma_list:
         gamma = np.array([gamma])
-        signals, _, _, _ = ensemble._evaluate(one, gamma, structure, False)
-        _, elements, grounds = ensemble.invert(one, gamma, signals)
+        parts = ensemble._evaluate(one, gamma, structure, False)
+        assert list(parts) == ["signals", "pathways"]
+        _, elements, grounds = ensemble.invert(one, gamma, parts["signals"])
         assert np.max(np.abs(elements - truth)) <= 1e-12
         assert np.max(np.abs(grounds - truth_grounds)) <= 1e-12
 

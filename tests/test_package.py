@@ -1,6 +1,6 @@
 """The package as documented: the README's library example, the version
-and console script that pyproject.toml declares and an import graph
-without cycles."""
+and console script that pyproject.toml declares, each module reachable as
+a package attribute and an import graph without cycles."""
 
 import ast
 import importlib
@@ -45,6 +45,19 @@ def test_console_script_resolves_and_runs(tmp_path, capsys):
     main = getattr(importlib.import_module(entry.group(1)), entry.group(2))
     assert main(["report", "--output-dir", str(tmp_path)]) == 3
     assert "run_manifest.json" in capsys.readouterr().err
+
+
+def test_each_module_is_its_package_attribute():
+    """``dimerqpt.<name>`` is the module ``<name>.py``: no name that
+    ``__init__`` re-exports shadows a module, so ``from dimerqpt import
+    <name>`` gives the module whose functions a test patches."""
+    src = os.path.dirname(dimerqpt.__file__)
+    names = sorted(name[:-3] for name in os.listdir(src)
+                   if name.endswith(".py") and name != "__init__.py")
+    assert "reconstruct" in names
+    for name in names:
+        module = importlib.import_module(f"dimerqpt.{name}")
+        assert getattr(dimerqpt, name) is module, name
 
 
 def _package_imports(tree, modules):
